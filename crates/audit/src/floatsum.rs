@@ -1,4 +1,4 @@
-//! Rule 10: float accumulation order in sweep-reachable reductions.
+//! Rule 3: float accumulation order in sweep-reachable reductions.
 //!
 //! The parallel executor merges per-run artifacts (histograms, host
 //! profiles, phase timings) into sweep-level documents, and the history

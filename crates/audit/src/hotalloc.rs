@@ -1,21 +1,19 @@
-//! Rule 9: the hot-path allocation census.
+//! Rule 2: the hot-path allocation census.
 //!
 //! ROADMAP item 1 (the ≥5× network hot-path overhaul) needs to know
 //! exactly where the per-cycle wormhole/coherence paths allocate before
 //! anyone can credibly remove those allocations. This rule walks the
-//! rule-4 hot-path files and inventories every allocation-shaped call
+//! hot-path files (`HOT_PATH_FILES`) and inventories every allocation-shaped call
 //! site — `push`/`push_back`, `Box::new`, `clone()`, `to_string()`,
 //! `format!`, `collect()`, `vec![`, `Vec::new`, `String::from`, … —
 //! attributing each to its enclosing function via the scope tracker.
 //!
 //! The full inventory ships in the `--json` findings document (the
 //! machine-readable census). Sites inside the *registered per-cycle
-//! functions* ([`PER_CYCLE_FNS`]) are additionally violations: existing
-//! ones are frozen in the committed baseline (the ratchet), so the set
-//! can only shrink, and any new allocation on a per-cycle path fails CI
-//! the moment it is written. A site that is genuinely fine (e.g. an
-//! amortized, pre-sized buffer) can be waived with
-//! `// audit: allow(alloc) <reason>`.
+//! functions* ([`PER_CYCLE_FNS`]) are additionally violations, so any
+//! new allocation on a per-cycle path fails CI the moment it is
+//! written. A site that is genuinely fine (e.g. an amortized, pre-sized
+//! buffer) can be waived with `// audit: allow(alloc) <reason>`.
 
 use crate::lex::FileModel;
 use crate::{has_waiver, violation, Violation};
@@ -281,8 +279,7 @@ fn check_with_registry(
                 let msg = format!(
                     "allocation (`{kind}`) inside per-cycle fn `{func}`; hoist it out of \
                      the cycle loop, pre-size a reused buffer, or waive with \
-                     `// audit: allow(alloc) <reason>` (existing sites are frozen in \
-                     audit_baseline.json)"
+                     `// audit: allow(alloc) <reason>`"
                 );
                 out.push(violation(rel, model, idx, "hot-alloc", msg));
             }

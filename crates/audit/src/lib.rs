@@ -1,91 +1,51 @@
 //! Project-specific static analysis for the ATAC+ workspace.
 //!
-//! Eleven rules, enforced on a lexed view of the source (see [`lex`]):
-//! every file is classified byte-by-byte into code / comment / string
-//! before any rule runs, and a brace-tracking scope pass attributes
-//! each line to its enclosing `fn` and to `#[cfg(test)]` regions. Rules
-//! therefore cannot false-positive inside string literals, doc
-//! comments, commented-out code, or test modules — and the newer rules
-//! reason about *where* a pattern occurs, not merely that it occurs.
-//! (The pass still sees code inside macro invocations, which
-//! `syn`-style tooling would not without expansion, and the only
-//! dependency is the in-tree `atac-trace` JSON reader.)
+//! Four rules that neither rustc nor clippy can express, enforced on a
+//! lexed view of the source (see [`lex`]): every file is classified
+//! byte-by-byte into code / comment / string before any rule runs, and a
+//! brace-tracking scope pass attributes each line to its enclosing `fn`
+//! and to `#[cfg(test)]` regions. Rules therefore cannot false-positive
+//! inside string literals, doc comments, commented-out code, or test
+//! modules.
 //!
 //! 1. **`raw-f64`** — public functions in `crates/phys`, `crates/sim`
 //!    and `crates/trace` whose name (or a parameter name) speaks of
 //!    energy, power, or time must not traffic in bare `f64`; they must
 //!    use the unit newtypes from `atac_phys::units`. Waive with
 //!    `// audit: allow(raw-f64)`.
-//! 2. **`counter-coverage`** — every counter field of `CoherenceStats`
-//!    and `NetStats` must either be read by the energy integration in
-//!    `crates/sim/src/energy.rs` or carry an explicit
-//!    `// audit: non-energy` waiver explaining why it carries no energy.
-//! 3. **`wildcard-arm`** — the protocol/network state machines must
-//!    match exhaustively: no `_ =>` (or `_ if … =>`) arms in the listed
-//!    files, so adding a message kind or route forces every handler to
-//!    be revisited.
-//! 4. **`hot-path`** — `unwrap()`, `expect()`, and lossy `as` casts in
-//!    simulator hot paths need a same-line or line-above
-//!    `// audit: allow(unwrap|expect|cast) <reason>` waiver naming the
-//!    invariant that makes them safe.
-//! 5. **`probe-api`** — instrumentation in hot paths must go through the
-//!    `atac_trace::ProbeHandle` forwarders: no direct `.borrow_mut(`
-//!    probe access and no raw `*_samples.push(…)` sample vectors. Waive
-//!    with `// audit: allow(probe) <reason>`.
-//! 6. **`sweep-api`** — all sweep concurrency and run-cache publication
-//!    go through the `atac-bench` executor/cache layer: no raw
-//!    `thread::spawn` in first-party crates, no ad-hoc file writes in
-//!    `crates/bench` outside `executor.rs`/`cache.rs`. Waive with
-//!    `// audit: allow(sweep) <reason>`.
-//! 7. **`report-api`** — all run-history and report file writes go
-//!    through the `crates/report` history writers
-//!    (`append_lines`/`write_text` in `history.rs`). Waive with
-//!    `// audit: allow(report) <reason>`.
-//! 8. **`determinism`** — in the result-bearing crates (`net`,
-//!    `coherence`, `sim`, `phys`, `workloads`), no `HashMap`/`HashSet`
-//!    (iteration order is randomized per process; use
-//!    `BTreeMap`/`BTreeSet` or sort before iterating and waive with
-//!    `// audit: allow(nondet-map) <reason>`), and no wall-clock or
-//!    ambient input — `Instant`, `SystemTime`, `env::var`,
-//!    `thread_rng`/`from_entropy`/`RandomState` — outside
-//!    host-profiling code (waive with
-//!    `// audit: allow(ambient) <reason>`). This is the static face of
-//!    the bit-identical-results contract the regression gate and the
-//!    parallel-vs-serial verifier enforce at run time.
-//! 9. **`hot-alloc`** — an allocation census over the rule-4 hot-path
-//!    files: every `push`/`Box::new`/`clone()`/`format!`/`to_string`/
-//!    `collect()`/… site is inventoried (machine-readable via
-//!    `--json`), and sites inside the registered *per-cycle* functions
-//!    are violations unless waived with
-//!    `// audit: allow(alloc) <reason>`. Existing sites are frozen in
-//!    the committed baseline; the census scopes the ROADMAP item 1
-//!    network hot-path overhaul.
-//! 10. **`float-accum`** — `+=` accumulation in merge/reduction code
-//!     reachable from the parallel sweep executor must be declared
-//!     order-stable (`// audit: order-stable — <why>` on the function),
-//!     because float addition is not associative and a
-//!     worker-completion-order-dependent sum would break byte-identical
-//!     sweep artifacts. Waive a single site with
-//!     `// audit: allow(float-accum) <reason>`.
-//! 11. **`schema-drift`** — the JSON field vocabularies emitted by the
-//!     `trace`/`bench`/`report` writers are cross-checked against their
-//!     in-tree validators/parsers, and the committed
-//!     `BENCH_history.jsonl` is checked against the history emitter, so
-//!     an exporter field cannot silently diverge from its reader. Waive
-//!     with `// audit: allow(schema) <reason>` on the emitter line.
+//! 2. **`hot-alloc`** — an allocation census over [`HOT_PATH_FILES`]:
+//!    every `push`/`Box::new`/`clone()`/`format!`/`to_string`/
+//!    `collect()`/… site is inventoried (machine-readable via `--json`),
+//!    and sites inside the registered *per-cycle* functions are
+//!    violations unless waived with `// audit: allow(alloc) <reason>`.
+//! 3. **`float-accum`** — `+=` accumulation in merge/reduction code
+//!    reachable from the parallel sweep executor must be declared
+//!    order-stable (`// audit: order-stable — <why>` on the function),
+//!    because float addition is not associative and a
+//!    worker-completion-order-dependent sum would break byte-identical
+//!    sweep artifacts. Waive a single site with
+//!    `// audit: allow(float-accum) <reason>`.
+//! 4. **`schema-drift`** — the JSON field vocabularies emitted by the
+//!    `trace`/`bench`/`report` writers are cross-checked against their
+//!    in-tree validators/parsers, and the committed
+//!    `BENCH_history.jsonl` is checked against the history emitter, so
+//!    an exporter field cannot silently diverge from its reader. Waive
+//!    with `// audit: allow(schema) <reason>` on the emitter line.
 //!
-//! The binary (`cargo run -p atac-audit`) compares findings against the
-//! committed `audit_baseline.json` *ratchet*: pre-existing findings are
-//! tolerated but frozen, any new finding fails, and fixing one turns
-//! the stale baseline entry into a failure until the baseline is
-//! regenerated (`--write-baseline`) — mirroring the append-only
-//! discipline of `BENCH_history.jsonl`. The same pass runs under
-//! `cargo test` via [`tests::shipped_tree_is_clean`].
+//! Everything the compiler, clippy or module privacy can check is left
+//! to them (DESIGN.md §8): counter coverage is an exhaustive destructure
+//! in `atac_sim::energy::integrate`, hot-path panics and casts and
+//! wildcard match arms are per-file clippy lints, and determinism and
+//! the sanctioned writers are `clippy.toml` lists. Their waivers are
+//! `#[expect(<lint>, reason = "...")]` attributes, so a waiver that no
+//! longer suppresses anything fails clippy.
+//!
+//! The binary (`cargo run -p atac-audit`) exits 1 on any violation. The
+//! same pass runs under `cargo test` via [`tests::shipped_tree_is_clean`].
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod determinism;
 pub mod floatsum;
 pub mod hotalloc;
 pub mod lex;
@@ -106,8 +66,7 @@ pub struct Violation {
     pub rule: &'static str,
     /// Human-readable description of the problem and the fix.
     pub message: String,
-    /// The offending source line, trimmed — the line-number-independent
-    /// part of the baseline fingerprint.
+    /// The offending source line, trimmed.
     pub snippet: String,
 }
 
@@ -131,40 +90,11 @@ pub struct RuleInfo {
 }
 
 /// Every rule this crate enforces. The CLI banner, the findings
-/// document, and the docs all derive their rule count from here, so a
-/// new rule cannot leave a stale hard-coded `7` behind.
+/// document, and the docs all derive their rule count from here.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "raw-f64",
         summary: "unit-bearing public signatures use newtypes, not bare f64",
-    },
-    RuleInfo {
-        id: "counter-coverage",
-        summary: "every stats counter feeds the energy model or is waived",
-    },
-    RuleInfo {
-        id: "wildcard-arm",
-        summary: "protocol/network state machines match exhaustively",
-    },
-    RuleInfo {
-        id: "hot-path",
-        summary: "hot-path unwrap/expect/lossy casts carry justifying waivers",
-    },
-    RuleInfo {
-        id: "probe-api",
-        summary: "hot-path instrumentation goes through ProbeHandle",
-    },
-    RuleInfo {
-        id: "sweep-api",
-        summary: "sweep concurrency and cache writes go through the executor",
-    },
-    RuleInfo {
-        id: "report-api",
-        summary: "history/report writes go through the report-crate writers",
-    },
-    RuleInfo {
-        id: "determinism",
-        summary: "result-bearing crates: no hash-order iteration or ambient input",
     },
     RuleInfo {
         id: "hot-alloc",
@@ -180,9 +110,8 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Everything one audit pass produces: the violations (ratcheted against
-/// the baseline by the CLI) and the full hot-path allocation census
-/// (informational sites included).
+/// Everything one audit pass produces: the violations and the full
+/// hot-path allocation census (informational sites included).
 #[derive(Debug, Clone, Default)]
 pub struct AuditReport {
     /// Rule violations, sorted by (file, line).
@@ -191,18 +120,9 @@ pub struct AuditReport {
     pub census: Vec<AllocSite>,
 }
 
-/// Files whose `match` statements must be exhaustive (rule 3).
-const EXHAUSTIVE_MATCH_FILES: &[&str] = &[
-    "crates/coherence/src/protocol.rs",
-    "crates/coherence/src/directory.rs",
-    "crates/coherence/src/system.rs",
-    "crates/net/src/mesh.rs",
-    "crates/net/src/onet.rs",
-    "crates/net/src/atac.rs",
-];
-
-/// Simulator hot paths where panics and lossy casts need waivers
-/// (rule 4) and where rule 9 takes its allocation census.
+/// Simulator hot paths: the files where the hot-alloc census runs, and
+/// exactly the files whose `#![warn(..)]` header makes clippy police
+/// their panics and lossy casts (a test below keeps the two in step).
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/net/src/mesh.rs",
     "crates/net/src/onet.rs",
@@ -216,16 +136,9 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/sim/src/energy.rs",
 ];
 
-/// Files rule 5 checks beyond [`HOT_PATH_FILES`].
-const PROBE_API_EXTRA_FILES: &[&str] = &["crates/net/src/harness.rs"];
-
-/// The two modules that own sweep concurrency and run-cache publication;
-/// rule 6 exempts them and polices everything else.
-const SWEEP_API_FILES: &[&str] = &["crates/bench/src/cache.rs", "crates/bench/src/executor.rs"];
-
-/// First-party source roots scanned by the whole-workspace rules.
-/// `crates/rand` (vendored third-party) and `crates/audit` (this crate's
-/// own pattern literals) are deliberately absent.
+/// First-party source roots the audit lexes. `crates/rand` (vendored
+/// third-party) and `crates/audit` (this crate's own pattern literals)
+/// are deliberately absent.
 const FIRST_PARTY_DIRS: &[&str] = &[
     "crates/bench/src",
     "crates/coherence/src",
@@ -238,15 +151,23 @@ const FIRST_PARTY_DIRS: &[&str] = &[
     "crates/workloads/src",
 ];
 
-/// The module that owns every history/report file write; rule 7 exempts
-/// it and polices the rest of `crates/report`.
-const REPORT_API_FILES: &[&str] = &["crates/report/src/history.rs"];
-
 /// Keywords marking a function (or parameter) as an energy/power/time
 /// API for rule 1.
 const UNIT_KEYWORDS: &[&str] = &[
     "energy", "power", "edp", "runtime", "latency", "delay", "time", "watts", "joule",
 ];
+
+/// Lex every first-party source file once; all rules share the models.
+fn first_party_models(root: &Path) -> Vec<(String, FileModel)> {
+    let mut models = Vec::new();
+    for dir in FIRST_PARTY_DIRS {
+        for file in rust_files(&root.join(dir)) {
+            let rel = rel_path(root, &file);
+            models.push((rel, FileModel::parse(&read(&file))));
+        }
+    }
+    models
+}
 
 /// Run every rule against the workspace rooted at `root`.
 ///
@@ -257,15 +178,7 @@ pub fn audit_workspace(root: &Path) -> AuditReport {
     let mut v = Vec::new();
     let mut census = Vec::new();
 
-    // Lex every first-party file exactly once; all rules share the
-    // models.
-    let mut models: Vec<(String, FileModel)> = Vec::new();
-    for dir in FIRST_PARTY_DIRS {
-        for file in rust_files(&root.join(dir)) {
-            let rel = rel_path(root, &file);
-            models.push((rel, FileModel::parse(&read(&file))));
-        }
-    }
+    let models = first_party_models(root);
     let model_of = |rel: &str| -> &FileModel {
         models
             .iter()
@@ -284,51 +197,17 @@ pub fn audit_workspace(root: &Path) -> AuditReport {
         }
     }
 
-    // Rule 2: counter structs vs the energy integration.
-    let energy_tokens = token_set(&read(&root.join("crates/sim/src/energy.rs")));
-    for (rel, struct_name) in [
-        ("crates/coherence/src/stats.rs", "CoherenceStats"),
-        ("crates/net/src/stats.rs", "NetStats"),
-    ] {
-        check_counter_coverage(rel, model_of(rel), struct_name, &energy_tokens, &mut v);
-    }
-
-    // Rule 3.
-    for rel in EXHAUSTIVE_MATCH_FILES {
-        check_wildcard_arms(rel, model_of(rel), &mut v);
-    }
-
-    // Rules 4, 5, 9 over the hot-path files.
+    // Rule 2 over the hot-path files.
     for rel in HOT_PATH_FILES {
-        let model = model_of(rel);
-        check_hot_path(rel, model, &mut v);
-        check_probe_api(rel, model, &mut v);
-        hotalloc::check_hot_alloc(rel, model, &mut census, &mut v);
-    }
-    for rel in PROBE_API_EXTRA_FILES {
-        check_probe_api(rel, model_of(rel), &mut v);
+        hotalloc::check_hot_alloc(rel, model_of(rel), &mut census, &mut v);
     }
 
-    // Rules 6 and 8 over every first-party source file (rule 8 narrows
-    // to the result-bearing crates internally).
-    for (rel, model) in &models {
-        check_sweep_api(rel, model, &mut v);
-        determinism::check_determinism(rel, model, &mut v);
-    }
-
-    // Rule 7 over the report crate.
-    for (rel, model) in &models {
-        if rel.starts_with("crates/report/") {
-            check_report_api(rel, model, &mut v);
-        }
-    }
-
-    // Rule 10 over the sweep-reachable reduction files.
+    // Rule 3 over the sweep-reachable reduction files.
     for rel in floatsum::REDUCTION_FILES {
         floatsum::check_float_accum(rel, model_of(rel), &mut v);
     }
 
-    // Rule 11: emitter vocabularies vs validators and the history file.
+    // Rule 4: emitter vocabularies vs validators and the history file.
     schema::check_schema_drift(root, &model_of, &mut v);
 
     v.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -437,24 +316,6 @@ pub(crate) fn comment_block_above(model: &FileModel, idx: usize) -> Vec<&str> {
         }
     }
     block
-}
-
-/// All identifier-like tokens in `text` (word characters split on
-/// everything else), for cheap "is this name mentioned" queries.
-fn token_set(text: &str) -> std::collections::BTreeSet<String> {
-    let mut set = std::collections::BTreeSet::new();
-    let mut cur = String::new();
-    for c in text.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            cur.push(c);
-        } else if !cur.is_empty() {
-            set.insert(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        set.insert(cur);
-    }
-    set
 }
 
 fn name_has_unit_keyword(name: &str) -> bool {
@@ -596,310 +457,8 @@ fn param_list(sig: &str) -> Vec<(String, String)> {
 }
 
 // ----------------------------------------------------------------------
-// Rule 2: every stats counter feeds the energy model or is waived
-// ----------------------------------------------------------------------
-
-pub fn check_counter_coverage(
-    rel: &str,
-    model: &FileModel,
-    struct_name: &str,
-    energy_tokens: &std::collections::BTreeSet<String>,
-    out: &mut Vec<Violation>,
-) {
-    let header = format!("pub struct {struct_name}");
-    let Some(start) = model.lines.iter().position(|l| l.code.contains(&header)) else {
-        out.push(violation(
-            rel,
-            model,
-            0,
-            "counter-coverage",
-            format!("expected `pub struct {struct_name}` in this file"),
-        ));
-        return;
-    };
-
-    let mut fields = 0usize;
-    let mut depth = 0i32;
-    for idx in start..model.lines.len() {
-        let code = &model.lines[idx].code;
-        depth += i32::try_from(code.matches('{').count()).expect("line length");
-        let closes = i32::try_from(code.matches('}').count()).expect("line length");
-
-        if let Some(field) = counter_field(code) {
-            fields += 1;
-            let waived = comment_block_above(model, idx)
-                .iter()
-                .any(|l| l.contains("audit: non-energy"));
-            if !waived && !energy_tokens.contains(field) {
-                let msg = format!(
-                    "`{struct_name}::{field}` is counted but never read by \
-                     crates/sim/src/energy.rs; charge it or waive with \
-                     `// audit: non-energy — <why>`"
-                );
-                out.push(violation(rel, model, idx, "counter-coverage", msg));
-            }
-        }
-
-        depth -= closes;
-        if depth <= 0 && idx > start {
-            break;
-        }
-    }
-
-    if fields == 0 {
-        out.push(violation(
-            rel,
-            model,
-            start,
-            "counter-coverage",
-            format!("`{struct_name}` declares no `pub <name>: u64` counter fields — parser drift?"),
-        ));
-    }
-}
-
-/// If `code` declares a `pub <ident>: u64,` counter field, return the
-/// field name.
-fn counter_field(code: &str) -> Option<&str> {
-    let t = code.trim();
-    let rest = t.strip_prefix("pub ")?;
-    let (name, ty) = rest.split_once(':')?;
-    let name = name.trim();
-    let ty = ty.trim().trim_end_matches(',').trim();
-    let ident = !name.is_empty()
-        && name
-            .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-    (ident && ty == "u64").then_some(name)
-}
-
-// ----------------------------------------------------------------------
-// Rule 3: exhaustive matches in the state machines
-// ----------------------------------------------------------------------
-
-pub fn check_wildcard_arms(rel: &str, model: &FileModel, out: &mut Vec<Violation>) {
-    for idx in 0..model.lines.len() {
-        if is_wildcard_arm(&model.lines[idx].code) {
-            out.push(violation(
-                rel,
-                model,
-                idx,
-                "wildcard-arm",
-                "wildcard `_ =>` arm in a protocol/network state machine; \
-                 list the variants explicitly so new message kinds fail to compile"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// Detect a bare `_ =>` / `_ if … =>` match arm in the code part of a
-/// line. Binding patterns like `(s, _) =>` or `Some(_) =>` are fine —
-/// those still name the variant.
-fn is_wildcard_arm(code: &str) -> bool {
-    let t = code.trim_start();
-    if t.starts_with("_ if ") {
-        return true;
-    }
-    for (pos, _) in code.match_indices("_ =>") {
-        let before = code[..pos].chars().next_back();
-        if matches!(before, None | Some(' ') | Some('\t') | Some('|')) {
-            return true;
-        }
-    }
-    false
-}
-
-// ----------------------------------------------------------------------
-// Rule 4: hot-path panic/cast hygiene
-// ----------------------------------------------------------------------
-
-/// Lossy `as` targets: narrowing integer casts and f32. Widening or
-/// same-width casts (`as u64`, `as usize`, `as f64`) are conventional in
-/// counter arithmetic and excluded.
-const LOSSY_CAST_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
-
-pub fn check_hot_path(rel: &str, model: &FileModel, out: &mut Vec<Violation>) {
-    for idx in 0..model.lines.len() {
-        let line = &model.lines[idx];
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-
-        for (token, kind) in [(".unwrap()", "unwrap"), (".expect(", "expect")] {
-            if code.contains(token) && !has_waiver(model, idx, kind) {
-                let msg = format!(
-                    "`{kind}` in a simulator hot path; justify the invariant with \
-                     `// audit: allow({kind}) <reason>` or handle the None/Err case"
-                );
-                out.push(violation(rel, model, idx, "hot-path", msg));
-            }
-        }
-
-        if has_lossy_cast(code) && !has_waiver(model, idx, "cast") {
-            out.push(violation(
-                rel,
-                model,
-                idx,
-                "hot-path",
-                "lossy `as` cast in a simulator hot path; use `From`/`try_from` \
-                 or justify with `// audit: allow(cast) <reason>`"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-fn has_lossy_cast(code: &str) -> bool {
-    for (pos, _) in code.match_indices(" as ") {
-        let after = &code[pos + 4..];
-        for target in LOSSY_CAST_TARGETS {
-            if let Some(rest) = after.strip_prefix(target) {
-                let boundary = rest
-                    .chars()
-                    .next()
-                    .is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
-                if boundary {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-// ----------------------------------------------------------------------
-// Rule 5: hot-path instrumentation goes through the probe API
-// ----------------------------------------------------------------------
-
-pub fn check_probe_api(rel: &str, model: &FileModel, out: &mut Vec<Violation>) {
-    for idx in 0..model.lines.len() {
-        let line = &model.lines[idx];
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-
-        if code.contains(".borrow_mut(") && !has_waiver(model, idx, "probe") {
-            out.push(violation(
-                rel,
-                model,
-                idx,
-                "probe-api",
-                "direct `.borrow_mut()` in an instrumented hot path; dispatch \
-                 events through the `ProbeHandle` forwarders (one disabled-probe \
-                 branch) or waive with `// audit: allow(probe) <reason>`"
-                    .to_string(),
-            ));
-        }
-
-        if pushes_sample_vec(code) && !has_waiver(model, idx, "probe") {
-            out.push(violation(
-                rel,
-                model,
-                idx,
-                "probe-api",
-                "raw `*_samples.push(…)` in an instrumented hot path; record \
-                 into an `atac_trace::Histogram` (mergeable, constant-size) or \
-                 waive with `// audit: allow(probe) <reason>`"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// Does `code` push onto an identifier ending in `_samples`?
-fn pushes_sample_vec(code: &str) -> bool {
-    for (pos, _) in code.match_indices(".push(") {
-        let before = &code[..pos];
-        let ident_start = before
-            .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-            .map_or(0, |p| p + 1);
-        if before[ident_start..].ends_with("_samples") {
-            return true;
-        }
-    }
-    false
-}
-
-// ----------------------------------------------------------------------
-// Rule 6: sweep concurrency and cache writes go through the executor
-// ----------------------------------------------------------------------
-
-pub fn check_sweep_api(rel: &str, model: &FileModel, out: &mut Vec<Violation>) {
-    if SWEEP_API_FILES.contains(&rel) {
-        return;
-    }
-    for idx in 0..model.lines.len() {
-        let line = &model.lines[idx];
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-
-        if code.contains("thread::spawn(") && !has_waiver(model, idx, "sweep") {
-            out.push(violation(
-                rel,
-                model,
-                idx,
-                "sweep-api",
-                "raw `thread::spawn` outside the sweep executor; declare the \
-                 work as a `RunPlan` (atac-bench executor) so panics propagate \
-                 and the pool size honors ATAC_JOBS, or waive with \
-                 `// audit: allow(sweep) <reason>`"
-                    .to_string(),
-            ));
-        }
-
-        // Ad-hoc file creation is policed only in `crates/bench`, the
-        // crate that owns `target/atac-results/` — a bare write there
-        // bypasses atomic publication.
-        if rel.starts_with("crates/bench/") {
-            for pat in ["fs::write(", "File::create(", "OpenOptions"] {
-                if code.contains(pat) && !has_waiver(model, idx, "sweep") {
-                    let msg = format!(
-                        "ad-hoc `{pat}…` in crates/bench outside the cache layer; \
-                         publish run records through `RunCache`/`publish_atomic` \
-                         (temp file + rename) or waive with \
-                         `// audit: allow(sweep) <reason>`"
-                    );
-                    out.push(violation(rel, model, idx, "sweep-api", msg));
-                }
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Rule 7: history/report writes go through the report-crate writers
-// ----------------------------------------------------------------------
-
-pub fn check_report_api(rel: &str, model: &FileModel, out: &mut Vec<Violation>) {
-    if REPORT_API_FILES.contains(&rel) {
-        return;
-    }
-    for idx in 0..model.lines.len() {
-        let line = &model.lines[idx];
-        if line.in_test {
-            continue;
-        }
-        for pat in ["fs::write(", "File::create(", "OpenOptions"] {
-            if line.code.contains(pat) && !has_waiver(model, idx, "report") {
-                let msg = format!(
-                    "ad-hoc `{pat}…` in crates/report outside history.rs; write \
-                     through `append_lines`/`write_text` so the registry stays \
-                     append-only, or waive with `// audit: allow(report) <reason>`"
-                );
-                out.push(violation(rel, model, idx, "report-api", msg));
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
 // Tests: each rule must fire on a seeded violation and stay quiet on
-// clean input; the shipped tree must audit clean modulo the committed
-// baseline.
+// clean input; the shipped tree must audit clean.
 // ----------------------------------------------------------------------
 
 #[cfg(test)]
@@ -911,34 +470,14 @@ mod tests {
     }
 
     #[test]
-    fn shipped_tree_is_clean_modulo_baseline() {
-        let root = workspace_root();
-        let rep = audit_workspace(&root);
-        let baseline_path = root.join("audit_baseline.json");
-        let baseline = if baseline_path.exists() {
-            report::parse_baseline(&std::fs::read_to_string(&baseline_path).expect("readable"))
-                .expect("valid baseline")
-        } else {
-            std::collections::BTreeMap::new()
-        };
-        let outcome = report::ratchet(&rep.violations, &baseline);
+    fn shipped_tree_is_clean() {
+        let rep = audit_workspace(&workspace_root());
         assert!(
-            outcome.fresh.is_empty(),
-            "new audit violations (not in audit_baseline.json):\n{}",
-            outcome
-                .fresh
+            rep.violations.is_empty(),
+            "audit violations:\n{}",
+            rep.violations
                 .iter()
                 .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        assert!(
-            outcome.stale.is_empty(),
-            "baseline entries no longer found (shrink with --write-baseline):\n{}",
-            outcome
-                .stale
-                .iter()
-                .map(|(fp, n)| format!("{n}× {fp}"))
                 .collect::<Vec<_>>()
                 .join("\n")
         );
@@ -950,10 +489,473 @@ mod tests {
 
     #[test]
     fn rule_registry_matches_doc_count() {
-        assert_eq!(RULES.len(), 11);
+        assert_eq!(RULES.len(), 4);
         let mut ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
         ids.dedup();
         assert_eq!(ids.len(), RULES.len(), "duplicate rule ids");
+    }
+
+    // ---- the rules handed to rustc, clippy and privacy ----
+    //
+    // Clippy enforces them only while their configuration holds: the
+    // per-file `#![warn(..)]` headers, the `clippy.toml` lists, and
+    // waivers that stay narrow `#[expect]`s with a reason. The tests
+    // below keep that configuration and the shipped tree in step.
+
+    /// The hot-path panic lints: each `.expect()` needs an `#[expect]`
+    /// naming the invariant that makes it safe.
+    const PANIC_LINTS: &[&str] = &["clippy::expect_used", "clippy::unwrap_used"];
+
+    /// The hot-path lossy-cast lints.
+    const CAST_LINTS: &[&str] = &[
+        "clippy::cast_possible_truncation",
+        "clippy::cast_possible_wrap",
+        "clippy::cast_sign_loss",
+    ];
+
+    /// The lints the file's `#![warn(..)]` attributes name (comments and
+    /// strings blanked).
+    fn warned_lints(m: &FileModel) -> Vec<String> {
+        let code: Vec<&str> = m.lines.iter().map(|l| l.code.as_str()).collect();
+        code.join(" ")
+            .split("#![warn(")
+            .skip(1)
+            .flat_map(|attr| attr.split(")]").next().unwrap_or_default().split(','))
+            .map(|lint| lint.trim().to_string())
+            .collect()
+    }
+
+    /// Do the file's `#![warn(..)]` attributes name every hot-path lint
+    /// between them?
+    fn has_hot_path_header(m: &FileModel) -> bool {
+        let warned = warned_lints(m);
+        PANIC_LINTS
+            .iter()
+            .chain(CAST_LINTS)
+            .all(|lint| warned.iter().any(|w| w == lint))
+    }
+
+    /// Every attribute line that allows or expects `lint`, with its file.
+    pub(crate) fn waivers<'a>(
+        models: &'a [(String, FileModel)],
+        lint: &str,
+    ) -> Vec<(&'a str, &'a lex::Line)> {
+        let mut out = Vec::new();
+        for (rel, m) in models {
+            for l in &m.lines {
+                let waives = l.code.contains("allow(") || l.code.contains("expect(");
+                if waives && l.code.contains(lint) {
+                    out.push((rel.as_str(), l));
+                }
+            }
+        }
+        out
+    }
+
+    /// Does the attribute on `l` give a non-empty `reason`?
+    pub(crate) fn has_reason(l: &lex::Line) -> bool {
+        l.code.contains("reason =") && l.strings.iter().any(|s| !s.trim().is_empty())
+    }
+
+    /// Is `l` an inner (`#![..]`) attribute, covering a whole module?
+    pub(crate) fn is_inner(l: &lex::Line) -> bool {
+        l.code.trim_start().starts_with("#![")
+    }
+
+    /// The workspace's `clippy.toml`.
+    pub(crate) fn clippy_toml() -> String {
+        read(&workspace_root().join("clippy.toml"))
+    }
+
+    /// The `path`s listed under `key` (`disallowed-types` or
+    /// `disallowed-methods`) in a `clippy.toml`, `#` comments skipped.
+    pub(crate) fn disallowed_paths(config: &str, key: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut inside = false;
+        for line in config.lines() {
+            let line = line.split('#').next().unwrap_or_default().trim();
+            if let Some(rest) = line.strip_prefix(key) {
+                inside = rest.trim_start().starts_with('=');
+            } else if line.starts_with(']') {
+                inside = false;
+            } else if inside {
+                if let Some(path) = line.split("path = \"").nth(1) {
+                    out.push(path.split('"').next().unwrap_or_default().to_string());
+                }
+            }
+        }
+        out
+    }
+
+    /// The named workspace files, lexed.
+    pub(crate) fn lexed(files: &[&str]) -> Vec<(String, FileModel)> {
+        let root = workspace_root();
+        files
+            .iter()
+            .map(|rel| (rel.to_string(), model(&read(&root.join(rel)))))
+            .collect()
+    }
+
+    /// Every hot-path file warns on each of `lints`, and every waiver of
+    /// one sits on an item (never a `#![..]` over the module) with a reason.
+    fn assert_hot_path_lints(lints: &[&str]) {
+        let models = lexed(HOT_PATH_FILES);
+        for (rel, m) in &models {
+            let warned = warned_lints(m);
+            for lint in lints {
+                assert!(
+                    warned.iter().any(|w| w == lint),
+                    "{rel} does not warn on {lint}"
+                );
+            }
+        }
+        let waived: Vec<_> = lints
+            .iter()
+            .flat_map(|lint| waivers(&models, lint))
+            .collect();
+        assert!(
+            !waived.is_empty(),
+            "no hot-path waivers — did the attribute syntax change?"
+        );
+        for (rel, l) in waived {
+            assert!(
+                !is_inner(l) && has_reason(l),
+                "{rel}: waive on the item, with a reason: {}",
+                l.raw.trim()
+            );
+        }
+    }
+
+    #[test]
+    fn hot_path_lint_header_marks_exactly_the_hot_path_files() {
+        let models = first_party_models(&workspace_root());
+        let mut marked: Vec<&str> = models
+            .iter()
+            .filter(|(_, m)| has_hot_path_header(m))
+            .map(|(rel, _)| rel.as_str())
+            .collect();
+        let mut expected = HOT_PATH_FILES.to_vec();
+        marked.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(
+            marked, expected,
+            "files with the hot-path `#![warn(..)]` header must be exactly HOT_PATH_FILES"
+        );
+    }
+
+    #[test]
+    fn hot_path_unwrap_fires_and_waives() {
+        assert_hot_path_lints(PANIC_LINTS);
+    }
+
+    #[test]
+    fn hot_path_ignores_unwrap_in_string_literal() {
+        assert!(has_hot_path_header(&model(
+            "//! doc\n#![warn(clippy::expect_used, clippy::unwrap_used, clippy::cast_sign_loss)]\n\
+             #![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]\n"
+        )));
+        let all = "#![warn(clippy::expect_used, clippy::unwrap_used, clippy::cast_sign_loss, \
+                   clippy::cast_possible_truncation, clippy::cast_possible_wrap)]";
+        assert!(!has_hot_path_header(&model(&format!("// {all}\n"))));
+        assert!(!has_hot_path_header(&model(&format!(
+            "const H: &str = {all:?};\n"
+        ))));
+        let decoy = vec![(
+            "h.rs".to_string(),
+            model("let s = \"#[expect(clippy::unwrap_used)]\"; // #[allow(clippy::unwrap_used)]\n"),
+        )];
+        assert!(waivers(&decoy, "clippy::unwrap_used").is_empty());
+    }
+
+    #[test]
+    fn lossy_cast_detection() {
+        assert_hot_path_lints(CAST_LINTS);
+    }
+
+    #[test]
+    fn hot_path_skips_test_module() {
+        let config = clippy_toml();
+        for setting in [
+            "allow-expect-in-tests = true",
+            "allow-unwrap-in-tests = true",
+        ] {
+            assert!(
+                config.lines().any(|l| l.trim() == setting),
+                "clippy.toml lost `{setting}`"
+            );
+        }
+    }
+
+    // ---- probe API: the handles keep their collectors private ----
+
+    /// The instrumentation handles, each a tuple struct around the shared
+    /// collector.
+    const PROBE_HANDLES: &[(&str, &str)] = &[
+        ("crates/trace/src/probe.rs", "ProbeHandle"),
+        ("crates/trace/src/netobs.rs", "NetObsHandle"),
+    ];
+
+    /// Files whose live code must reach the probes only through the
+    /// handle forwarders.
+    fn instrumented_models() -> Vec<(String, FileModel)> {
+        lexed(&[HOT_PATH_FILES, &["crates/net/src/harness.rs"]].concat())
+    }
+
+    #[test]
+    fn probe_api_borrow_mut_fires_and_waives() {
+        for (rel, handle) in PROBE_HANDLES {
+            let (_, m) = &lexed(&[rel])[0];
+            let decl = format!("pub struct {handle}(");
+            let line = m
+                .lines
+                .iter()
+                .find(|l| l.code.contains(&decl))
+                .unwrap_or_else(|| panic!("{rel} no longer declares `{decl}..)`"));
+            let field = line.code.split(&decl).nth(1).unwrap_or_default();
+            assert!(
+                !field.trim_start().starts_with("pub"),
+                "{handle}'s collector field must stay private, so only its \
+                 forwarders can borrow it"
+            );
+        }
+    }
+
+    #[test]
+    fn probe_api_sample_vec_fires() {
+        for (rel, m) in &instrumented_models() {
+            for l in m.lines.iter().filter(|l| !l.in_test) {
+                let sample_vec = lex::tokens(&l.code).any(|t| t.ends_with("_samples"));
+                assert!(
+                    !(sample_vec && l.code.contains(".push(")),
+                    "{rel}: record samples into an atac_trace::Histogram: {}",
+                    l.raw.trim()
+                );
+            }
+        }
+        let (_, harness) = &lexed(&["crates/net/src/harness.rs"])[0];
+        assert!(
+            harness
+                .lines
+                .iter()
+                .any(|l| l.code.contains("pub latency: Histogram,")),
+            "the synthetic harness records latency into a Histogram"
+        );
+    }
+
+    #[test]
+    fn probe_api_skips_test_module() {
+        let borrows = |m: &FileModel| {
+            m.lines
+                .iter()
+                .filter(|l| !l.in_test && l.code.contains(".borrow_mut("))
+                .count()
+        };
+        for (rel, m) in &instrumented_models() {
+            assert_eq!(
+                borrows(m),
+                0,
+                "{rel} borrows a collector outside its handle"
+            );
+        }
+        let test_only =
+            model("#[cfg(test)]\nmod tests {\n    fn f() { probe.borrow_mut().tick(); }\n}\n");
+        assert_eq!(borrows(&test_only), 0);
+        assert_eq!(
+            borrows(&model("fn f() { probe.borrow_mut().tick(); }\n")),
+            1
+        );
+    }
+
+    // ---- sweep and report writers: `clippy.toml` disallowed-methods ----
+
+    /// Calls that open a file for writing.
+    const WRITE_CALLS: &[&str] = &["fs::write(", "File::create(", "OpenOptions"];
+
+    /// Every live function under `prefix` that opens a file for writing,
+    /// as `(file, model, fn index)`.
+    fn writers<'a>(
+        models: &'a [(String, FileModel)],
+        prefix: &str,
+    ) -> Vec<(&'a str, &'a FileModel, usize)> {
+        let mut out = Vec::new();
+        for (rel, m) in models.iter().filter(|(rel, _)| rel.starts_with(prefix)) {
+            for (i, l) in m.lines.iter().enumerate() {
+                if l.in_test || !WRITE_CALLS.iter().any(|c| l.code.contains(c)) {
+                    continue;
+                }
+                // A one-line fn opens and closes on its line, so the lexer
+                // leaves that line unattributed; fall back to the spans.
+                let f = l.fn_idx.or_else(|| {
+                    m.fns
+                        .iter()
+                        .rposition(|f| (f.sig_line..=f.body_end).contains(&i))
+                });
+                let f = f.unwrap_or_else(|| panic!("{rel}:{}: write outside a fn", i + 1));
+                out.push((rel.as_str(), m, f));
+            }
+        }
+        out.dedup_by_key(|(rel, _, f)| (*rel, *f));
+        out
+    }
+
+    /// [`writers`] as `(file, fn name)`.
+    fn writer_names<'a>(
+        models: &'a [(String, FileModel)],
+        prefix: &str,
+    ) -> Vec<(&'a str, &'a str)> {
+        writers(models, prefix)
+            .into_iter()
+            .map(|(rel, m, f)| (rel, m.fns[f].name.as_str()))
+            .collect()
+    }
+
+    /// Does `clippy.toml` list each of `paths` under `disallowed-methods`?
+    pub(crate) fn assert_disallowed_methods(paths: &[&str]) {
+        let methods = disallowed_paths(&clippy_toml(), "disallowed-methods");
+        for path in paths {
+            assert!(
+                methods.iter().any(|p| p == path),
+                "clippy.toml no longer disallows {path}"
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_api_spawn_fires_and_waives() {
+        assert_disallowed_methods(&["std::thread::spawn"]);
+        for (rel, m) in &first_party_models(&workspace_root()) {
+            for l in m.lines.iter().filter(|l| !l.in_test) {
+                assert!(
+                    !l.code.contains("thread::spawn"),
+                    "{rel}: sweep work goes through the atac-bench executor pool: {}",
+                    l.raw.trim()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_api_file_writes_fire_in_bench_only() {
+        assert_disallowed_methods(&[
+            "std::fs::write",
+            "std::fs::File::create",
+            "std::fs::OpenOptions::open",
+        ]);
+        let models = first_party_models(&workspace_root());
+        assert_eq!(
+            writer_names(&models, "crates/bench/"),
+            [
+                ("crates/bench/src/cache.rs", "publish_atomic"),
+                ("crates/bench/src/executor.rs", "write_flight"),
+                ("crates/bench/src/executor.rs", "write"),
+            ],
+            "atac-bench writes artifacts only through its sanctioned writers"
+        );
+    }
+
+    #[test]
+    fn sweep_api_skips_tests_and_comments() {
+        let decoy = vec![(
+            "crates/bench/src/lib.rs".to_string(),
+            model(
+                "// never call fs::write( here\n\
+                 fn f() { let s = \"File::create(p)\"; }\n\
+                 #[cfg(test)]\n\
+                 mod tests {\n\
+                     fn g() { std::fs::write(a, b); }\n\
+                 }\n",
+            ),
+        )];
+        assert!(writer_names(&decoy, "crates/bench/").is_empty());
+        let live = vec![(
+            "crates/bench/src/lib.rs".to_string(),
+            model(
+                "fn dump(p: &Path) {\n    let f = File::create(p);\n    std::fs::write(p, b);\n}\n",
+            ),
+        )];
+        assert_eq!(
+            writer_names(&live, "crates/bench/"),
+            [("crates/bench/src/lib.rs", "dump")]
+        );
+    }
+
+    #[test]
+    fn report_api_writes_fire_outside_history() {
+        let models = first_party_models(&workspace_root());
+        assert_eq!(
+            writer_names(&models, "crates/report/"),
+            [
+                ("crates/report/src/history.rs", "append_lines"),
+                ("crates/report/src/history.rs", "write_text"),
+            ],
+            "the report crate writes only through the history writers"
+        );
+    }
+
+    #[test]
+    fn report_api_waiver_and_test_module_are_honored() {
+        let models = first_party_models(&workspace_root());
+        let all = writers(&models, "crates/");
+        assert!(!all.is_empty());
+        for (rel, m, f) in all {
+            let span = &m.fns[f];
+            let header = &m.lines[span.sig_line..=span.body_start];
+            assert!(
+                header.iter().any(|l| {
+                    l.code.contains("#[expect(clippy::disallowed_methods") && has_reason(l)
+                }),
+                "{rel}: writer `{}` needs its own #[expect(clippy::disallowed_methods, \
+                 reason = ..)]",
+                span.name
+            );
+        }
+        let test_only = vec![(
+            "crates/report/src/gate.rs".to_string(),
+            model("#[cfg(test)]\nmod tests {\n    fn f() { fs::write(a, b); }\n}\n"),
+        )];
+        assert!(writers(&test_only, "crates/report/").is_empty());
+    }
+
+    // ---- wildcard arms: clippy::wildcard_enum_match_arm ----
+
+    /// Files whose `match`es must name every variant; each carries
+    /// `#![warn(clippy::wildcard_enum_match_arm)]`.
+    const STATE_MACHINE_FILES: &[&str] = &[
+        "crates/coherence/src/protocol.rs",
+        "crates/coherence/src/directory.rs",
+        "crates/coherence/src/system.rs",
+        "crates/net/src/mesh.rs",
+        "crates/net/src/onet.rs",
+        "crates/net/src/atac.rs",
+    ];
+
+    const WILDCARD_LINT: &str = "clippy::wildcard_enum_match_arm";
+
+    #[test]
+    fn wildcard_arm_detection() {
+        for (rel, m) in &lexed(STATE_MACHINE_FILES) {
+            assert!(
+                warned_lints(m).iter().any(|w| w == WILDCARD_LINT),
+                "{rel} lost its `#![warn({WILDCARD_LINT})]` header"
+            );
+        }
+    }
+
+    #[test]
+    fn wildcard_in_comment_or_string_does_not_fire() {
+        let header = format!("#![warn({WILDCARD_LINT})]");
+        assert!(warned_lints(&model(&format!("// {header}\n"))).is_empty());
+        assert!(warned_lints(&model(&format!("const H: &str = {header:?};\n"))).is_empty());
+        let models = lexed(STATE_MACHINE_FILES);
+        let waived = waivers(&models, WILDCARD_LINT);
+        assert!(
+            waived.is_empty(),
+            "state-machine matches list their variants instead of waiving: {:?}",
+            waived
+                .iter()
+                .map(|(rel, l)| (rel, l.raw.trim()))
+                .collect::<Vec<_>>()
+        );
     }
 
     // ---- rule 1 ----
@@ -1008,290 +1010,6 @@ mod tests {
         assert!(v.is_empty(), "{v:?}");
     }
 
-    // ---- rule 2 ----
-
-    fn toy_energy_tokens() -> std::collections::BTreeSet<String> {
-        token_set("e.dyn = net.charged_events as f64;")
-    }
-
-    #[test]
-    fn orphan_counter_fires() {
-        let m = model(
-            "counters_struct! {\n\
-                 pub struct NetStats {\n\
-                 /// Charged.\n\
-                 pub charged_events: u64,\n\
-                 /// Forgotten.\n\
-                 pub orphan_events: u64,\n\
-             }\n\
-             }\n",
-        );
-        let mut v = Vec::new();
-        check_counter_coverage("s.rs", &m, "NetStats", &toy_energy_tokens(), &mut v);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("orphan_events"));
-        assert_eq!(v[0].line, 6);
-    }
-
-    #[test]
-    fn non_energy_waiver_is_honored() {
-        let m = model(
-            "pub struct NetStats {\n\
-                 /// Diagnostic only.\n\
-                 // audit: non-energy — congestion diagnostic, no energy event\n\
-                 pub orphan_events: u64,\n\
-             }\n",
-        );
-        let mut v = Vec::new();
-        check_counter_coverage("s.rs", &m, "NetStats", &toy_energy_tokens(), &mut v);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn missing_struct_is_reported() {
-        let m = model("fn nothing() {}");
-        let mut v = Vec::new();
-        check_counter_coverage("s.rs", &m, "NetStats", &toy_energy_tokens(), &mut v);
-        assert_eq!(v.len(), 1);
-    }
-
-    // ---- rule 3 ----
-
-    #[test]
-    fn wildcard_arm_detection() {
-        assert!(is_wildcard_arm("            _ => self.drop(),"));
-        assert!(is_wildcard_arm("_ => {}"));
-        assert!(is_wildcard_arm("            _ if x > 0 => step(),"));
-        assert!(is_wildcard_arm("            Kind::A | _ => step(),"));
-        // Variant-naming patterns are fine.
-        assert!(!is_wildcard_arm("            (s, _) => step(),"));
-        assert!(!is_wildcard_arm("            Some(_) => step(),"));
-        assert!(!is_wildcard_arm("            let _ = consume();"));
-        assert!(!is_wildcard_arm("            Kind::A => step(),"));
-    }
-
-    #[test]
-    fn wildcard_in_comment_or_string_does_not_fire() {
-        let m = model("// never write `_ =>` here\nlet s = \"_ => bad\";\nx => y,\n");
-        let mut v = Vec::new();
-        check_wildcard_arms("m.rs", &m, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    // ---- rule 4 ----
-
-    #[test]
-    fn hot_path_unwrap_fires_and_waives() {
-        let mut v = Vec::new();
-        check_hot_path("h.rs", &model("let x = q.pop().unwrap();\n"), &mut v);
-        assert_eq!(v.len(), 1);
-
-        let mut v = Vec::new();
-        check_hot_path(
-            "h.rs",
-            &model("let x = q.pop().unwrap(); // audit: allow(unwrap) queue checked non-empty\n"),
-            &mut v,
-        );
-        assert!(v.is_empty());
-
-        let mut v = Vec::new();
-        check_hot_path(
-            "h.rs",
-            &model(
-                "// audit: allow(expect) slot is live by refcount\nlet x = s.expect(\"live\");\n",
-            ),
-            &mut v,
-        );
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn hot_path_ignores_unwrap_in_string_literal() {
-        let m = model("let msg = \"call .unwrap() responsibly\";\n");
-        let mut v = Vec::new();
-        check_hot_path("h.rs", &m, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn lossy_cast_detection() {
-        assert!(has_lossy_cast("let x = n as u16;"));
-        assert!(has_lossy_cast("f(len as u32)"));
-        assert!(has_lossy_cast("let y = big as i32 + 1;"));
-        assert!(!has_lossy_cast("let x = n as u64;"));
-        assert!(!has_lossy_cast("let x = n as usize;"));
-        assert!(!has_lossy_cast("let x = n as f64;"));
-        assert!(!has_lossy_cast("let x = n as u160;")); // not a real type, but boundary-checked
-    }
-
-    #[test]
-    fn hot_path_skips_test_module() {
-        let m = model("#[cfg(test)]\nmod tests {\n    fn f() { q.pop().unwrap(); }\n}\n");
-        let mut v = Vec::new();
-        check_hot_path("h.rs", &m, &mut v);
-        assert!(v.is_empty());
-    }
-
-    // ---- rule 5 ----
-
-    #[test]
-    fn probe_api_borrow_mut_fires_and_waives() {
-        let mut v = Vec::new();
-        check_probe_api(
-            "n.rs",
-            &model("self.probe.as_ref().map(|p| p.borrow_mut().net_deliver(&ev));\n"),
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "probe-api");
-
-        let mut v = Vec::new();
-        check_probe_api(
-            "n.rs",
-            &model(
-                "// audit: allow(probe) collector drained once at shutdown, cold path\n\
-                 let mut c = collector.borrow_mut();\n",
-            ),
-            &mut v,
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn probe_api_sample_vec_fires() {
-        let mut v = Vec::new();
-        check_probe_api(
-            "h.rs",
-            &model("lat_samples.push(d.at - gen_time[t]);\n"),
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("Histogram"));
-        // Pushing to anything else is fine.
-        let mut v = Vec::new();
-        check_probe_api(
-            "h.rs",
-            &model("deliveries.push(d);\nheap.push(Reverse((now, c)));\n"),
-            &mut v,
-        );
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn probe_api_skips_test_module() {
-        let m = model("#[cfg(test)]\nmod tests {\n    fn f() { probe.borrow_mut().tick(); }\n}\n");
-        let mut v = Vec::new();
-        check_probe_api("n.rs", &m, &mut v);
-        assert!(v.is_empty());
-    }
-
-    // ---- rule 6 ----
-
-    #[test]
-    fn sweep_api_spawn_fires_and_waives() {
-        let mut v = Vec::new();
-        check_sweep_api(
-            "crates/sim/src/engine.rs",
-            &model("let h = std::thread::spawn(move || simulate(cfg));\n"),
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "sweep-api");
-
-        let mut v = Vec::new();
-        check_sweep_api(
-            "crates/sim/src/engine.rs",
-            &model(
-                "// audit: allow(sweep) watchdog thread, not sweep work\n\
-                 let h = std::thread::spawn(watchdog);\n",
-            ),
-            &mut v,
-        );
-        assert!(v.is_empty(), "{v:?}");
-
-        // The executor/cache pair is exempt wholesale.
-        let mut v = Vec::new();
-        check_sweep_api(
-            "crates/bench/src/executor.rs",
-            &model("std::thread::spawn(f); fs::write(p, c);\n"),
-            &mut v,
-        );
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn sweep_api_file_writes_fire_in_bench_only() {
-        let bad = model("fs::write(&path, runjson::encode(&rec));\n");
-        let mut v = Vec::new();
-        check_sweep_api("crates/bench/src/bin/fig99.rs", &bad, &mut v);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("publish_atomic"));
-
-        // The same write elsewhere in the workspace is out of scope
-        // (exporters etc. own their formats).
-        let mut v = Vec::new();
-        check_sweep_api("crates/trace/src/export.rs", &bad, &mut v);
-        assert!(v.is_empty());
-
-        // File::create and OpenOptions are the same hole.
-        let mut v = Vec::new();
-        check_sweep_api(
-            "crates/bench/src/lib.rs",
-            &model("let f = File::create(&p)?;\nlet o = OpenOptions::new();\n"),
-            &mut v,
-        );
-        assert_eq!(v.len(), 2);
-    }
-
-    #[test]
-    fn sweep_api_skips_tests_and_comments() {
-        let m = model(
-            "// never call thread::spawn( here\n\
-             #[cfg(test)]\n\
-             mod tests {\n\
-                 fn f() { std::thread::spawn(|| {}); fs::write(a, b); }\n\
-             }\n",
-        );
-        let mut v = Vec::new();
-        check_sweep_api("crates/bench/src/lib.rs", &m, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    // ---- rule 7 ----
-
-    #[test]
-    fn report_api_writes_fire_outside_history() {
-        let bad = model("fs::write(&path, &markdown)?;\nlet f = File::create(&out)?;\n");
-        let mut v = Vec::new();
-        check_report_api("crates/report/src/render.rs", &bad, &mut v);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0].rule, "report-api");
-        assert!(v[0].message.contains("append_lines"));
-
-        // The designated writer module is exempt wholesale.
-        let writer =
-            model("let f = OpenOptions::new().append(true).open(p)?;\nfs::write(p, t)?;\n");
-        let mut v = Vec::new();
-        check_report_api("crates/report/src/history.rs", &writer, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn report_api_waiver_and_test_module_are_honored() {
-        let waived = model(
-            "// audit: allow(report) debug dump, not a registry artifact\n\
-             fs::write(&dbg_path, &dump)?;\n",
-        );
-        let mut v = Vec::new();
-        check_report_api("crates/report/src/main.rs", &waived, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-
-        let test_only = model("#[cfg(test)]\nmod tests {\n    fn f() { fs::write(a, b); }\n}\n");
-        let mut v = Vec::new();
-        check_report_api("crates/report/src/gate.rs", &test_only, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
     // ---- shared machinery ----
 
     #[test]
@@ -1303,9 +1021,220 @@ mod tests {
 
     #[test]
     fn waiver_lookup_reads_comments_only() {
-        let m = model("let s = \"audit: allow(unwrap) decoy\"; q.unwrap();\n");
-        assert!(!has_waiver(&m, 0, "unwrap"), "string decoy must not waive");
-        let m = model("q.unwrap(); // audit: allow(unwrap) head checked\n");
-        assert!(has_waiver(&m, 0, "unwrap"));
+        let m = model("let s = \"audit: allow(alloc) decoy\"; q.push(1);\n");
+        assert!(!has_waiver(&m, 0, "alloc"), "string decoy must not waive");
+        let m = model("q.push(1); // audit: allow(alloc) pre-sized buffer\n");
+        assert!(has_waiver(&m, 0, "alloc"));
+    }
+}
+
+/// Bit-identical results: `clippy.toml` disallows hash-order containers,
+/// host clocks and environment reads, and only the host crates opt out
+/// of the types, at their crate root. These tests keep that
+/// configuration, its scope, and the result-bearing sources in step.
+#[cfg(test)]
+mod determinism {
+    mod tests {
+        use crate::lex::{has_token, FileModel};
+        use crate::tests::{
+            assert_disallowed_methods, clippy_toml, disallowed_paths, has_reason, is_inner, lexed,
+            waivers,
+        };
+        use crate::{first_party_models, workspace_root};
+
+        /// Source prefixes of the result-bearing crates: everything whose
+        /// output feeds figures, sweep artifacts, or the history registry.
+        const RESULT_BEARING: &[&str] = &[
+            "crates/net/src/",
+            "crates/coherence/src/",
+            "crates/sim/src/",
+            "crates/phys/src/",
+            "crates/workloads/src/",
+        ];
+
+        /// Host crates: clocks and hash maps are their job, and none of
+        /// their output feeds a `run_key`-compared metric.
+        const HOST_CRATES: &[&str] = &[
+            "crates/trace/src/",
+            "crates/bench/src/",
+            "crates/report/src/",
+            "crates/core/src/",
+            "crates/audit/src/",
+        ];
+
+        /// Host-side observability surfaces (wall-clock phase laps and the
+        /// flight journal's host-time fields), deliberately in a host crate.
+        const HOST_OBSERVABILITY: &[&str] =
+            &["crates/trace/src/profile.rs", "crates/trace/src/flight.rs"];
+
+        /// The type names `clippy.toml`'s `disallowed-types` lists.
+        const AMBIENT_TYPES: &[&str] =
+            &["HashMap", "HashSet", "RandomState", "Instant", "SystemTime"];
+
+        /// Lines of `m` whose code (comments and strings blanked) names a
+        /// disallowed type or reads the environment. Test code counts:
+        /// clippy checks every target.
+        fn ambient_uses(m: &FileModel) -> usize {
+            m.lines
+                .iter()
+                .filter(|l| {
+                    AMBIENT_TYPES.iter().any(|t| has_token(&l.code, t))
+                        || l.code.contains("env::var")
+                })
+                .count()
+        }
+
+        fn parse(src: &str) -> FileModel {
+            FileModel::parse(src)
+        }
+
+        /// Is `rel` a crate root: `lib.rs`, `main.rs` or a `bin/` target?
+        fn is_crate_root(rel: &str) -> bool {
+            rel.ends_with("/lib.rs") || rel.ends_with("/main.rs") || rel.contains("/bin/")
+        }
+
+        #[test]
+        fn fixture_fires_on_live_code_only() {
+            let fixture = parse(
+                "struct Index { by_line: HashMap<u64, u32> }\n\
+                 fn f() { let seen: HashSet<u32> = HashSet::new(); }\n\
+                 fn g() -> u64 { std::time::Instant::now().elapsed().as_secs() }\n\
+                 fn h() { let v = std::env::var(\"ATAC_X\"); }\n\
+                 const S: &str = \"HashMap in a string\";\n\
+                 /// Doc prose naming SystemTime.\n\
+                 // let m = HashMap::new();\n\
+                 /* let t = Instant::now(); */\n",
+            );
+            assert_eq!(ambient_uses(&fixture), 4);
+
+            let root = workspace_root();
+            let hits: Vec<String> = first_party_models(&root)
+                .iter()
+                .filter(|(rel, _)| RESULT_BEARING.iter().any(|p| rel.starts_with(p)))
+                .filter(|(_, m)| ambient_uses(m) > 0)
+                .map(|(rel, _)| rel.clone())
+                .collect();
+            assert!(
+                hits.is_empty(),
+                "result-bearing files read the host: {hits:?}"
+            );
+        }
+
+        #[test]
+        fn out_of_scope_crates_are_ignored() {
+            let models = first_party_models(&workspace_root());
+            let opt_outs = waivers(&models, "clippy::disallowed_types");
+            assert!(
+                !opt_outs.is_empty(),
+                "host crates opt out at their crate root"
+            );
+            for (rel, l) in opt_outs {
+                assert!(
+                    HOST_CRATES.iter().any(|p| rel.starts_with(p))
+                        && is_crate_root(rel)
+                        && is_inner(l),
+                    "{rel}: only a host crate root may allow disallowed_types: {}",
+                    l.raw.trim()
+                );
+            }
+            for (rel, l) in waivers(&models, "clippy::disallowed_methods") {
+                assert!(
+                    HOST_CRATES.iter().any(|p| rel.starts_with(p)),
+                    "{rel}: result-bearing crates take configuration through SimConfig: {}",
+                    l.raw.trim()
+                );
+            }
+        }
+
+        #[test]
+        fn waivers_are_honored() {
+            assert_disallowed_methods(&["std::env::var", "std::env::var_os"]);
+            let models = first_party_models(&workspace_root());
+            for (rel, l) in waivers(&models, "clippy::disallowed_types") {
+                assert!(
+                    has_reason(l),
+                    "{rel}: an opt-out states its reason: {}",
+                    l.raw.trim()
+                );
+            }
+            for (rel, l) in waivers(&models, "clippy::disallowed_methods") {
+                assert!(
+                    l.code.contains("#[expect(") && has_reason(l),
+                    "{rel}: environment reads and writers are waived one item at a time, \
+                     with a reason: {}",
+                    l.raw.trim()
+                );
+            }
+        }
+
+        #[test]
+        fn instantiate_prose_is_not_instant() {
+            let prose = parse("/// Instantiate the configured network.\nfn build() { net(); }\n");
+            assert_eq!(ambient_uses(&prose), 0);
+            assert_eq!(
+                ambient_uses(&parse("fn instantiate(instants: u32) {}\n")),
+                0
+            );
+            assert_eq!(
+                disallowed_paths(&clippy_toml(), "disallowed-types"),
+                [
+                    "std::collections::HashMap",
+                    "std::collections::HashSet",
+                    "std::hash::RandomState",
+                    "std::time::Instant",
+                    "std::time::SystemTime",
+                ]
+            );
+            let decoy = "disallowed-types = [\n\
+                         # { path = \"std::time::Instant\" },\n\
+                         { path = \"std::time::Instantiate\", reason = \"names Instant\" },\n\
+                         ]\n";
+            assert_eq!(
+                disallowed_paths(decoy, "disallowed-types"),
+                ["std::time::Instantiate"]
+            );
+        }
+
+        #[test]
+        fn host_observability_stays_outside_the_scanned_prefixes() {
+            let root = workspace_root();
+            for file in HOST_OBSERVABILITY {
+                assert!(
+                    !RESULT_BEARING.iter().any(|p| file.starts_with(p)),
+                    "{file} is host-side observability; moving it into a result-bearing \
+                     crate would put a wall clock into simulated results"
+                );
+                assert!(
+                    root.join(file).is_file(),
+                    "{file} no longer exists; update the list"
+                );
+            }
+            let (_, trace_root) = &lexed(&["crates/trace/src/lib.rs"])[0];
+            assert!(
+                trace_root
+                    .lines
+                    .iter()
+                    .any(|l| { is_inner(l) && l.code.contains("allow(clippy::disallowed_types") }),
+                "crates/trace opts out of disallowed_types at its crate root"
+            );
+        }
+
+        #[test]
+        fn seeded_small_rng_is_sanctioned() {
+            let seeded =
+                parse("use rand::rngs::SmallRng;\nlet mut rng = SmallRng::seed_from_u64(seed);\n");
+            assert_eq!(ambient_uses(&seeded), 0);
+            // The vendored shim has no OS-seeded constructor, so clippy.toml
+            // needs no entry for one.
+            let (_, shim) = &lexed(&["crates/rand/src/lib.rs"])[0];
+            let names = |tok: &str| shim.lines.iter().any(|l| has_token(&l.code, tok));
+            assert!(names("seed_from_u64"));
+            for entropy in ["thread_rng", "from_entropy", "OsRng", "RandomState"] {
+                assert!(
+                    !names(entropy),
+                    "the rand shim grew {entropy}; disallow it in clippy.toml"
+                );
+            }
+        }
     }
 }

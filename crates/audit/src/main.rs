@@ -1,57 +1,36 @@
-//! Workspace invariant linter with a ratcheted baseline.
+//! Workspace invariant linter.
 //!
 //! ```text
-//! cargo run -p atac-audit                  # ratchet vs ./audit_baseline.json (if present)
-//! cargo run -p atac-audit -- --json out.json          # also write the findings document
-//! cargo run -p atac-audit -- --baseline other.json    # explicit baseline path
-//! cargo run -p atac-audit -- --no-baseline            # raw mode: any violation fails
-//! cargo run -p atac-audit -- --write-baseline         # freeze current findings
+//! cargo run -p atac-audit                       # exit 1 on any violation
+//! cargo run -p atac-audit -- --json out.json    # also write the findings document
 //! ```
-//!
-//! Exit code 0 means: no findings beyond the baseline AND no stale
-//! baseline entries. A fresh finding fails (the ratchet only tightens);
-//! a fixed finding also fails until `--write-baseline` shrinks the
-//! frozen set — so the baseline can never drift upward silently.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use atac_audit::{report, RULES};
+use atac_audit::{report, AuditReport, RULES};
 
 struct Args {
     root: PathBuf,
     json_out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: atac_audit::workspace_root(),
         json_out: None,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--root" => args.root = PathBuf::from(take(&mut it, "--root")?),
             "--json" => args.json_out = Some(PathBuf::from(take(&mut it, "--json")?)),
-            "--baseline" => args.baseline = Some(PathBuf::from(take(&mut it, "--baseline")?)),
-            "--no-baseline" => args.no_baseline = true,
-            "--write-baseline" => args.write_baseline = true,
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
-    }
-    if args.no_baseline && args.baseline.is_some() {
-        return Err("--no-baseline conflicts with --baseline".to_string());
     }
     Ok(args)
 }
@@ -72,9 +51,16 @@ fn print_help() {
     println!();
     println!("  --root <dir>       workspace root (default: resolved from the manifest)");
     println!("  --json <file>      write the machine-readable findings document");
-    println!("  --baseline <file>  ratchet against this baseline (default: <root>/audit_baseline.json if present)");
-    println!("  --no-baseline      raw mode: any violation fails");
-    println!("  --write-baseline   freeze the current findings into the baseline and exit 0");
+}
+
+#[expect(clippy::disallowed_methods, reason = "writes the --json findings file")]
+fn write_findings(path: &Path, rep: &AuditReport) -> Result<(), String> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+    std::fs::write(path, report::findings_json(rep))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 fn main() -> ExitCode {
@@ -89,16 +75,8 @@ fn main() -> ExitCode {
     let rep = atac_audit::audit_workspace(&args.root);
 
     if let Some(path) = &args.json_out {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("atac-audit: cannot create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if let Err(e) = std::fs::write(path, report::findings_json(&rep)) {
-            eprintln!("atac-audit: cannot write {}: {e}", path.display());
+        if let Err(e) = write_findings(path, &rep) {
+            eprintln!("atac-audit: {e}");
             return ExitCode::FAILURE;
         }
         println!(
@@ -109,71 +87,21 @@ fn main() -> ExitCode {
         );
     }
 
-    let default_baseline = args.root.join("audit_baseline.json");
-    let baseline_path = args.baseline.clone().unwrap_or(default_baseline);
-
-    if args.write_baseline {
-        if let Err(e) = std::fs::write(&baseline_path, report::baseline_json(&rep.violations)) {
-            eprintln!("atac-audit: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "atac-audit: froze {} finding(s) into {}",
-            rep.violations.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Resolve the baseline: explicit path must exist; the default path
-    // is optional; --no-baseline skips it entirely.
-    let baseline: BTreeMap<String, usize> = if args.no_baseline {
-        BTreeMap::new()
-    } else if baseline_path.exists() {
-        match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| report::parse_baseline(&t))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("atac-audit: {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if args.baseline.is_some() {
-        eprintln!(
-            "atac-audit: baseline {} does not exist",
-            baseline_path.display()
-        );
-        return ExitCode::FAILURE;
-    } else {
-        BTreeMap::new()
-    };
-
-    let outcome = report::ratchet(&rep.violations, &baseline);
-    let frozen = rep.violations.len() - outcome.fresh.len();
-
-    for v in &outcome.fresh {
+    for v in &rep.violations {
         eprintln!("{v}");
     }
-    for (fp, n) in &outcome.stale {
-        eprintln!("stale baseline entry ({n}×, fixed or moved): {fp}");
-    }
-
-    if outcome.fresh.is_empty() && outcome.stale.is_empty() {
+    if rep.violations.is_empty() {
         println!(
-            "atac-audit: clean ({} rules, {} frozen baseline finding(s), {} census sites)",
+            "atac-audit: clean ({} rules, {} census sites)",
             RULES.len(),
-            frozen,
             rep.census.len()
         );
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "atac-audit: {} fresh violation(s), {} stale baseline entr(ies); \
-             fresh findings must be fixed or waived, stale entries shrink via --write-baseline",
-            outcome.fresh.len(),
-            outcome.stale.len()
+            "atac-audit: {} violation(s); fix them or waive each with a reasoned \
+             `// audit: allow(<kind>)` comment",
+            rep.violations.len()
         );
         ExitCode::FAILURE
     }

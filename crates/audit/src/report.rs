@@ -1,128 +1,12 @@
-//! Findings/baseline serialization and the ratchet.
-//!
-//! The baseline (`audit_baseline.json`) is a *ratchet*, mirroring the
-//! append-only discipline of `BENCH_history.jsonl`: findings present
-//! when the baseline was written are tolerated but frozen; a finding
-//! not in the baseline is **fresh** and fails CI; a baseline entry no
-//! longer produced is **stale** and also fails, so fixing a finding
-//! forces the baseline to shrink (`--write-baseline`) and the frozen
-//! set can only move toward zero.
-//!
-//! Baseline entries are fingerprints — `rule|file|snippet` — not line
-//! numbers, so unrelated edits above a frozen finding do not churn the
-//! baseline. The fingerprint is a multiset (`count` per fingerprint):
-//! two identical offending lines in one file are two entries, and
-//! fixing one of them is already visible to the ratchet.
+//! The machine-readable findings document (`--json`).
 
-use std::collections::BTreeMap;
-
-use atac_trace::json;
-
-use crate::{AuditReport, Violation, RULES};
+use crate::{AuditReport, RULES};
 
 /// Schema tag of the `--json` findings document.
-pub const FINDINGS_SCHEMA: &str = "atac-audit-v2";
-/// Schema tag of `audit_baseline.json`.
-pub const BASELINE_SCHEMA: &str = "atac-audit-baseline-v1";
-
-/// The line-number-independent identity of a finding.
-pub fn fingerprint(v: &Violation) -> String {
-    format!("{}|{}|{}", v.rule, v.file, v.snippet.trim())
-}
-
-/// What the ratchet decided.
-#[derive(Debug, Clone, Default)]
-pub struct Ratchet {
-    /// Findings not covered by the baseline — fail.
-    pub fresh: Vec<Violation>,
-    /// Baseline fingerprints (with leftover counts) no longer produced —
-    /// fail until the baseline is regenerated.
-    pub stale: Vec<(String, usize)>,
-}
-
-/// Compare current findings against a baseline multiset.
-pub fn ratchet(violations: &[Violation], baseline: &BTreeMap<String, usize>) -> Ratchet {
-    let mut budget = baseline.clone();
-    let mut out = Ratchet::default();
-    for v in violations {
-        let fp = fingerprint(v);
-        match budget.get_mut(&fp) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => out.fresh.push(v.clone()),
-        }
-    }
-    for (fp, n) in budget {
-        if n > 0 {
-            out.stale.push((fp, n));
-        }
-    }
-    out
-}
-
-/// The baseline document for the given findings: every fingerprint with
-/// its multiplicity, sorted, one entry per line for reviewable diffs.
-pub fn baseline_json(violations: &[Violation]) -> String {
-    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    for v in violations {
-        *counts.entry(fingerprint(v)).or_insert(0) += 1;
-    }
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{BASELINE_SCHEMA}\",\n"));
-    out.push_str("  \"entries\": [");
-    for (i, (fp, n)) in counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"fingerprint\": {}, \"count\": {n}}}",
-            escape(fp)
-        ));
-    }
-    if counts.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
-}
-
-/// Parse a baseline document into its fingerprint multiset.
-pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, usize>, String> {
-    let doc = json::parse(text).map_err(|e| format!("baseline: {e:?}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(json::Json::as_str)
-        .ok_or("baseline: missing \"schema\"")?;
-    if schema != BASELINE_SCHEMA {
-        return Err(format!(
-            "baseline: schema {schema:?}, expected {BASELINE_SCHEMA:?}"
-        ));
-    }
-    let entries = doc
-        .get("entries")
-        .and_then(json::Json::as_arr)
-        .ok_or("baseline: missing \"entries\" array")?;
-    let mut out = BTreeMap::new();
-    for e in entries {
-        let fp = e
-            .get("fingerprint")
-            .and_then(json::Json::as_str)
-            .ok_or("baseline: entry missing \"fingerprint\"")?;
-        let n = e
-            .get("count")
-            .and_then(json::Json::as_u64)
-            .ok_or("baseline: entry missing \"count\"")?;
-        let n = usize::try_from(n).map_err(|_| "baseline: count out of range".to_string())?;
-        if out.insert(fp.to_string(), n).is_some() {
-            return Err(format!("baseline: duplicate fingerprint {fp:?}"));
-        }
-    }
-    Ok(out)
-}
+pub const FINDINGS_SCHEMA: &str = "atac-audit-v3";
 
 /// The machine-readable findings document (`--json`): rules, violations
-/// with fingerprints, and the full hot-path allocation census.
+/// and the full hot-path allocation census.
 pub fn findings_json(rep: &AuditReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -135,12 +19,11 @@ pub fn findings_json(rep: &AuditReport) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"fingerprint\": {}, \
-             \"message\": {}, \"snippet\": {}}}",
+            "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \
+             \"snippet\": {}}}",
             escape(&v.file),
             v.line,
             escape(v.rule),
-            escape(&fingerprint(v)),
             escape(&v.message),
             escape(&v.snippet)
         ));
@@ -197,97 +80,16 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atac_trace::json;
 
-    fn v(rule: &'static str, file: &str, snippet: &str) -> Violation {
-        Violation {
+    fn v(rule: &'static str, file: &str, snippet: &str) -> crate::Violation {
+        crate::Violation {
             file: file.to_string(),
             line: 7,
             rule,
             message: "msg".to_string(),
             snippet: snippet.to_string(),
         }
-    }
-
-    #[test]
-    fn baseline_round_trips() {
-        let vs = vec![
-            v("hot-alloc", "a.rs", "x.push(1);"),
-            v("hot-alloc", "a.rs", "x.push(1);"),
-            v("determinism", "b.rs", "let m = HashMap::new();"),
-        ];
-        let text = baseline_json(&vs);
-        let parsed = parse_baseline(&text).expect("round trip");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed.get("hot-alloc|a.rs|x.push(1);"), Some(&2));
-        assert_eq!(
-            parsed.get("determinism|b.rs|let m = HashMap::new();"),
-            Some(&1)
-        );
-    }
-
-    #[test]
-    fn ratchet_passes_when_findings_match_baseline() {
-        let vs = vec![v("hot-alloc", "a.rs", "x.push(1);")];
-        let base = parse_baseline(&baseline_json(&vs)).expect("baseline");
-        let out = ratchet(&vs, &base);
-        assert!(out.fresh.is_empty(), "{:?}", out.fresh);
-        assert!(out.stale.is_empty(), "{:?}", out.stale);
-    }
-
-    #[test]
-    fn ratchet_flags_fresh_finding() {
-        let base = parse_baseline(&baseline_json(&[v("hot-alloc", "a.rs", "x.push(1);")]))
-            .expect("baseline");
-        let now = vec![
-            v("hot-alloc", "a.rs", "x.push(1);"),
-            v("hot-alloc", "a.rs", "y.push(2);"),
-        ];
-        let out = ratchet(&now, &base);
-        assert_eq!(out.fresh.len(), 1);
-        assert_eq!(out.fresh[0].snippet, "y.push(2);");
-        assert!(out.stale.is_empty());
-    }
-
-    #[test]
-    fn ratchet_flags_stale_entry_after_fix() {
-        let base = parse_baseline(&baseline_json(&[
-            v("hot-alloc", "a.rs", "x.push(1);"),
-            v("determinism", "b.rs", "HashMap::new()"),
-        ]))
-        .expect("baseline");
-        let now = vec![v("hot-alloc", "a.rs", "x.push(1);")];
-        let out = ratchet(&now, &base);
-        assert!(out.fresh.is_empty());
-        assert_eq!(
-            out.stale,
-            vec![("determinism|b.rs|HashMap::new()".to_string(), 1)]
-        );
-    }
-
-    #[test]
-    fn ratchet_is_a_multiset_not_a_set() {
-        // Two identical lines frozen; fixing one must surface as stale.
-        let base = parse_baseline(&baseline_json(&[
-            v("hot-alloc", "a.rs", "x.push(1);"),
-            v("hot-alloc", "a.rs", "x.push(1);"),
-        ]))
-        .expect("baseline");
-        let now = vec![v("hot-alloc", "a.rs", "x.push(1);")];
-        let out = ratchet(&now, &base);
-        assert!(out.fresh.is_empty());
-        assert_eq!(
-            out.stale,
-            vec![("hot-alloc|a.rs|x.push(1);".to_string(), 1)]
-        );
-    }
-
-    #[test]
-    fn fingerprint_is_line_number_independent() {
-        let mut a = v("hot-alloc", "a.rs", "x.push(1);");
-        let mut b = a.clone();
-        a.line = 10;
-        b.line = 900;
-        assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
     #[test]
@@ -329,7 +131,5 @@ mod tests {
     fn empty_report_serializes_cleanly() {
         let rep = AuditReport::default();
         json::parse(&findings_json(&rep)).expect("valid JSON");
-        let base = parse_baseline(&baseline_json(&[])).expect("empty baseline");
-        assert!(base.is_empty());
     }
 }

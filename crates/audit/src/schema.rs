@@ -1,4 +1,4 @@
-//! Rule 11: schema drift between JSON emitters and their validators.
+//! Rule 4: schema drift between JSON emitters and their validators.
 //!
 //! Every JSON artifact in this workspace is written by a hand-rolled
 //! emitter and read back by a hand-rolled validator/parser — that pair

@@ -30,12 +30,17 @@
 //! from committed history and, on a TTY, renders a live progress line
 //! with an ETA (`ATAC_PROGRESS` forces it on/off).
 
+// Host crate: wall clocks and hash maps measure and schedule the host,
+// never a simulated result, so clippy.toml's determinism types are fine.
+#![allow(clippy::disallowed_types, reason = "times each figure binary")]
+
 use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
 use atac_bench::{executor, plans, run_key, runjson, ExecOptions, RunCache, SweepLog};
 
+#[expect(clippy::disallowed_methods, reason = "reads the ATAC_VERIFY knob")]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flight_out = args.iter().position(|a| a == "--flight-out").map(|i| {

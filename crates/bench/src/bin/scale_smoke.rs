@@ -17,11 +17,16 @@
 //! that wall-clock budget, so the CI job cannot silently grow without
 //! someone raising the box.
 
+// Host crate: wall clocks and hash maps measure and schedule the host,
+// never a simulated result, so clippy.toml's determinism types are fine.
+#![allow(clippy::disallowed_types, reason = "enforces the wall-clock budget")]
+
 use std::path::Path;
 use std::time::Instant;
 
 use atac_bench::{plans, run_key, ExecOptions, RunCache, SweepLog};
 
+#[expect(clippy::disallowed_methods, reason = "reads the scale smoke's knobs")]
 fn main() {
     // The ledger checks need the cycle-domain observer on every run.
     // Fail fast if the caller disabled it rather than silently checking

@@ -42,6 +42,7 @@ use crate::{run_key, runjson, RunRecord};
 /// default on; set `ATAC_PROFILE=0` to disable). Profiles are observers
 /// of the *host* clock only — they never enter the published run record,
 /// whose bytes stay governed by the determinism contract.
+#[expect(clippy::disallowed_methods, reason = "reads the ATAC_PROFILE knob")]
 pub fn profiling_enabled() -> bool {
     std::env::var("ATAC_PROFILE").as_deref() != Ok("0")
 }
@@ -53,6 +54,7 @@ pub fn profiling_enabled() -> bool {
 /// network sub-phase host attribution. Like the profiler, the observer
 /// never enters the published run record — instrumented runs stay
 /// bit-identical.
+#[expect(clippy::disallowed_methods, reason = "reads the ATAC_NETPROF knob")]
 pub fn netprof_enabled() -> bool {
     matches!(std::env::var("ATAC_NETPROF").as_deref(), Ok(v) if v != "0")
 }
@@ -65,6 +67,7 @@ pub fn netprof_enabled() -> bool {
 /// sub-phase split is stable. Set to `0` to time every tick exactly.
 /// Sampling only affects the host-side sub-phase seconds — the integer
 /// cycle-domain counters stay exact either way.
+#[expect(clippy::disallowed_methods, reason = "reads ATAC_NETPROF_SAMPLE_LOG2")]
 pub fn netprof_sample_log2() -> u32 {
     std::env::var("ATAC_NETPROF_SAMPLE_LOG2")
         .ok()
@@ -79,6 +82,7 @@ pub fn netprof_sample_log2() -> u32 {
 /// queue depth, RSS — against the host clock only; like the profiler
 /// and network microscope, it never enters the published run record,
 /// so a recorded sweep is byte-identical to an unrecorded one.
+#[expect(clippy::disallowed_methods, reason = "reads the ATAC_FLIGHT knob")]
 pub fn flight_enabled() -> bool {
     matches!(std::env::var("ATAC_FLIGHT").as_deref(), Ok(v) if v != "0")
 }
@@ -114,6 +118,7 @@ pub struct RunCache {
 
 impl RunCache {
     /// The default cache: `ATAC_RESULTS_DIR` or `target/atac-results`.
+    #[expect(clippy::disallowed_methods, reason = "reads the ATAC_RESULTS_DIR knob")]
     pub fn from_env() -> Self {
         let root =
             std::env::var("ATAC_RESULTS_DIR").unwrap_or_else(|_| "target/atac-results".into());
@@ -300,6 +305,7 @@ impl RunCache {
 /// directory, then a same-filesystem `rename`. Concurrent readers see
 /// the old bytes, the new bytes, or no file — never a torn record; a
 /// crash mid-write leaves a stray `.tmp` file, not a truncated record.
+#[expect(clippy::disallowed_methods, reason = "atomic writer: temp + rename")]
 pub fn publish_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     let dir = dir.unwrap_or_else(|| Path::new("."));

@@ -33,6 +33,7 @@ impl CostModel {
     /// Load from `ATAC_HISTORY` (default `BENCH_history.jsonl` in the
     /// working directory). Missing or unreadable history is an empty
     /// model — the executor then keeps the plan's declared order.
+    #[expect(clippy::disallowed_methods, reason = "reads the ATAC_HISTORY knob")]
     pub fn from_env() -> Self {
         let path =
             std::env::var("ATAC_HISTORY").unwrap_or_else(|_| "BENCH_history.jsonl".to_string());

@@ -52,6 +52,7 @@ use crate::{run_key, RunSummary};
 
 /// Worker count for sweeps: `ATAC_JOBS` if set, else the machine's
 /// available parallelism.
+#[expect(clippy::disallowed_methods, reason = "reads the ATAC_JOBS knob")]
 pub fn jobs_from_env() -> usize {
     match std::env::var("ATAC_JOBS") {
         Ok(v) => parse_jobs(&v)
@@ -67,6 +68,7 @@ fn parse_jobs(v: &str) -> Option<usize> {
 /// Whether the live progress line renders (`ATAC_PROGRESS`; default:
 /// only when stderr is a terminal, so CI logs stay clean. Set `1` to
 /// force it on, `0` to force it off).
+#[expect(clippy::disallowed_methods, reason = "reads the ATAC_PROGRESS knob")]
 fn progress_enabled() -> bool {
     match std::env::var("ATAC_PROGRESS").as_deref() {
         Ok("0") => false,
@@ -434,6 +436,7 @@ fn fmt_eta(eta: Option<f64>) -> String {
 /// Write a finished flight journal to `path` as JSONL. Lives here
 /// because the bench crate's file-write surface is `executor.rs` and
 /// `cache.rs` (audit rule 6).
+#[expect(clippy::disallowed_methods, reason = "the flight-journal writer")]
 pub fn write_flight(log: &FlightLog, path: &Path) -> std::io::Result<()> {
     std::fs::write(path, log.to_jsonl())
 }
@@ -648,6 +651,7 @@ impl SweepLog {
     }
 
     /// Render the log as a self-describing JSON document.
+    #[expect(clippy::disallowed_methods, reason = "records the sweep's knobs")]
     pub fn to_json(&self) -> String {
         let cores = std::env::var("ATAC_CORES").unwrap_or_else(|_| "1024".into());
         let benches = std::env::var("ATAC_BENCHES").unwrap_or_else(|_| "all".into());
@@ -737,6 +741,7 @@ impl SweepLog {
     }
 
     /// Write the JSON document to `path`.
+    #[expect(clippy::disallowed_methods, reason = "the sweep-document writer")]
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }

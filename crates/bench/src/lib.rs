@@ -14,6 +14,10 @@
 //! [`runjson`] module — the workspace builds offline with no external
 //! crates.
 
+// Host crate: wall clocks and hash maps measure and schedule the host,
+// never a simulated result, so clippy.toml's determinism types are fine.
+#![allow(clippy::disallowed_types, reason = "sweep timing, in-process index")]
+
 use std::collections::BTreeMap;
 
 use atac::coherence::{CoherenceStats, ProtocolKind};
@@ -180,6 +184,7 @@ pub fn run_cached(cfg: &SimConfig, bench: Benchmark) -> RunRecord {
 
 /// The benchmark subset to evaluate: all eight by default, overridable
 /// with `ATAC_BENCHES=radix,barnes` for quick passes.
+#[expect(clippy::disallowed_methods, reason = "reads the ATAC_BENCHES knob")]
 pub fn benchmarks() -> Vec<Benchmark> {
     match std::env::var("ATAC_BENCHES") {
         Ok(list) => {
@@ -195,6 +200,7 @@ pub fn benchmarks() -> Vec<Benchmark> {
 
 /// The chip size to evaluate: the paper's 1024 cores by default,
 /// `ATAC_CORES=64|256` for quick passes.
+#[expect(clippy::disallowed_methods, reason = "reads the ATAC_CORES knob")]
 pub fn topology() -> Topology {
     match std::env::var("ATAC_CORES").as_deref() {
         Ok("64") => Topology::small(8, 4),

@@ -125,6 +125,7 @@ fn single_flight_dedups_concurrent_requests_for_one_key() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "corrupts a record on purpose")]
 fn truncated_cache_record_is_resimulated_and_replaced() {
     let cache = RunCache::at(scratch("exec-torn"));
     let cfg = small_config();

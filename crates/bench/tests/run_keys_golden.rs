@@ -34,6 +34,7 @@ fn suite_keys() -> BTreeSet<String> {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "dumps actual keys on mismatch")]
 fn run_key_strings_match_the_golden_file() {
     // Default suite: the paper's 1024-core chip, all eight benchmarks.
     std::env::remove_var("ATAC_CORES");

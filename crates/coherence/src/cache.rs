@@ -5,6 +5,10 @@
 //! per-access energies multiplied with the access counters in
 //! [`crate::stats::CoherenceStats`].
 
+// Hot path (atac-audit `HOT_PATH_FILES`): panics and lossy casts need an `#[expect]`.
+#![warn(clippy::expect_used, clippy::unwrap_used, clippy::cast_sign_loss)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+
 use crate::addr::Addr;
 
 /// MSI coherence state of a cached line.
@@ -62,6 +66,7 @@ impl SetAssocCache {
         assert!(capacity_bytes.is_power_of_two());
         assert!(line_bytes.is_power_of_two());
         assert!(ways.is_power_of_two());
+        #[expect(clippy::cast_possible_truncation, reason = "line count fits usize")]
         let lines_total = (capacity_bytes / line_bytes) as usize;
         assert!(lines_total >= ways, "capacity too small for associativity");
         let sets = lines_total / ways;
@@ -85,6 +90,7 @@ impl SetAssocCache {
     }
 
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "mask keeps set-index bits")]
     fn set_of(&self, addr: Addr) -> usize {
         ((addr.line(self.line_bytes) as usize) & (self.sets - 1)) * self.ways
     }
@@ -184,9 +190,10 @@ impl SetAssocCache {
             }
         }
         // Evict LRU.
+        #[expect(clippy::expect_used, reason = "ways > 0, checked at construction")]
         let w = (0..self.ways)
             .min_by_key(|&w| self.lines[base + w].lru)
-            .expect("nonzero ways"); // audit: allow(expect) associativity validated at construction
+            .expect("nonzero ways");
         let victim = &self.lines[base + w];
         let victim_line = victim.tag * self.sets as u64 + (base / self.ways) as u64;
         let victim_addr = Addr(victim_line * self.line_bytes);

@@ -7,6 +7,12 @@
 //! [`crate::addr::Addr::home`]. Capacity (entries × entry width) is
 //! accounted by `atac-phys`'s directory cache model.
 
+// Hot path (atac-audit `HOT_PATH_FILES`): panics and lossy casts need an `#[expect]`.
+#![warn(clippy::expect_used, clippy::unwrap_used, clippy::cast_sign_loss)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+// State machine: name every variant, so a new one fails until handled.
+#![warn(clippy::wildcard_enum_match_arm)]
+
 use atac_net::CoreId;
 use std::collections::VecDeque;
 
@@ -34,7 +40,8 @@ impl SharerSet {
     /// Number of sharers.
     pub fn count(&self) -> u32 {
         match self {
-            SharerSet::Ptrs(v) => v.len() as u32, // audit: allow(cast) sharer list ≤ cores ≤ 1024
+            #[expect(clippy::cast_possible_truncation, reason = "sharers ≤ cores ≤ 1024")]
+            SharerSet::Ptrs(v) => v.len() as u32,
             SharerSet::Overflow { count } => *count,
         }
     }
@@ -64,7 +71,8 @@ impl SharerSet {
                     false
                 } else {
                     *self = SharerSet::Overflow {
-                        count: v.len() as u32 + 1, // audit: allow(cast) sharer list ≤ cores ≤ 1024
+                        #[expect(clippy::cast_possible_truncation, reason = "≤ 1024 sharers")]
+                        count: v.len() as u32 + 1,
                     };
                     true
                 }

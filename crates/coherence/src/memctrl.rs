@@ -9,6 +9,10 @@
 //! `mem_queue_cycles` — the paper's back-pressure path from memory
 //! bandwidth into application runtime.
 
+// Hot path (atac-audit `HOT_PATH_FILES`): panics and lossy casts need an `#[expect]`.
+#![warn(clippy::expect_used, clippy::unwrap_used, clippy::cast_sign_loss)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+
 use atac_net::Cycle;
 use std::collections::VecDeque;
 
@@ -77,8 +81,9 @@ impl<T> MemCtrl<T> {
             if done > now {
                 break;
             }
+            #[expect(clippy::expect_used, reason = "front() readiness checked first")]
             // audit: allow(alloc) caller-reused drain buffer; capacity amortized
-            out.push(self.inflight.pop_front().expect("front exists").1); // audit: allow(expect) pop follows the front() readiness check
+            out.push(self.inflight.pop_front().expect("front exists").1);
         }
     }
 

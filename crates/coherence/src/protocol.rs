@@ -5,6 +5,12 @@
 //! delivery refcount so broadcast payloads survive until every copy has
 //! been consumed.
 
+// Hot path (atac-audit `HOT_PATH_FILES`): panics and lossy casts need an `#[expect]`.
+#![warn(clippy::expect_used, clippy::unwrap_used, clippy::cast_sign_loss)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+// State machine: name every variant, so a new one fails until handled.
+#![warn(clippy::wildcard_enum_match_arm)]
+
 use crate::addr::Addr;
 use atac_net::{CoreId, MessageClass};
 
@@ -130,13 +136,14 @@ impl PayloadTable {
     /// token to put in the network message. Tokens are never zero.
     pub fn insert(&mut self, p: CohPayload, deliveries: u32) -> u64 {
         assert!(deliveries > 0);
+        #[expect(clippy::cast_possible_truncation, reason = "slab ≤ live payload cap")]
         let idx = if let Some(i) = self.free.pop() {
             self.slots[i as usize] = Some((p, deliveries));
             i
         } else {
             // audit: allow(alloc) slab grows to the live-payload peak, then recycles
             self.slots.push(Some((p, deliveries)));
-            (self.slots.len() - 1) as u32 // audit: allow(cast) slab index bounded by live payload cap
+            (self.slots.len() - 1) as u32
         };
         u64::from(idx) + 1
     }
@@ -144,20 +151,25 @@ impl PayloadTable {
     /// Read a payload by token and consume one delivery; frees the slot on
     /// the last one.
     pub fn take(&mut self, token: u64) -> CohPayload {
+        #[expect(clippy::cast_possible_truncation, reason = "tokens index a u32 slab")]
         let idx = (token - 1) as usize;
-        let (p, refs) = self.slots[idx].as_mut().expect("live payload"); // audit: allow(expect) token refcount keeps the slot live
+        #[expect(clippy::expect_used, reason = "token refcount keeps the slot live")]
+        let (p, refs) = self.slots[idx].as_mut().expect("live payload");
         let out = *p;
         *refs -= 1;
         if *refs == 0 {
             self.slots[idx] = None;
-            self.free.push(idx as u32); // audit: allow(cast) slab index bounded by live payload cap; audit: allow(alloc) free list ≤ slab size
+            #[expect(clippy::cast_possible_truncation, reason = "slab ≤ live payload cap")]
+            self.free.push(idx as u32); // audit: allow(alloc) free list ≤ slab size
         }
         out
     }
 
     /// Peek without consuming (for buffered-message inspection).
+    #[expect(clippy::cast_possible_truncation, reason = "tokens index a u32 slab")]
+    #[expect(clippy::expect_used, reason = "token refcount keeps the slot live")]
     pub fn peek(&self, token: u64) -> CohPayload {
-        self.slots[(token - 1) as usize].expect("live payload").0 // audit: allow(expect) token refcount keeps the slot live
+        self.slots[(token - 1) as usize].expect("live payload").0
     }
 
     /// Number of live payloads (for leak detection in tests).

@@ -4,9 +4,10 @@
 //! energies (mini-McPAT), directory operations × directory access energy,
 //! and memory controller transfer counts.
 //!
-//! Counter-coverage contract (enforced by `atac-audit`): every field
-//! below must either be folded into `crates/sim/src/energy.rs` or carry
-//! an `// audit: non-energy` waiver explaining why it is performance-only.
+//! Counter coverage: `atac_sim::energy::integrate` destructures this
+//! struct field by field, with no `..`, so a new counter fails to compile
+//! until it is either charged there or bound as `_` next to the reason it
+//! carries no energy.
 
 use atac_net::counters_struct;
 
@@ -17,38 +18,24 @@ counters_struct! {
         /// Instruction fetch accesses to L1-I.
         pub l1i_accesses: u64,
         /// L1-I misses (served by the local L2 port; private, non-coherent).
-        // audit: non-energy — miss-rate diagnostic; the refill itself is
-        // charged as an L2 access.
         pub l1i_misses: u64,
         /// L1-D read accesses.
         pub l1d_reads: u64,
         /// L1-D write accesses.
         pub l1d_writes: u64,
         /// L1-D misses (either data absent or insufficient permissions).
-        // audit: non-energy — miss-rate diagnostic; the refill is charged
-        // as an L2 access and (on L2 miss) directory/network events.
         pub l1d_misses: u64,
         /// L2 accesses (demand from L1 miss paths + fills + external probes).
         pub l2_accesses: u64,
         /// L2 misses requiring a directory transaction.
-        // audit: non-energy — miss-rate diagnostic; the transaction's energy
-        // is charged through dir_lookups/dir_updates and network counters.
         pub l2_misses: u64,
         /// Write permission upgrades (S→M) requested.
-        // audit: non-energy — protocol-mix diagnostic; the upgrade's
-        // directory work is charged through dir_lookups/dir_updates.
         pub upgrades: u64,
         /// Clean shared evictions from L2.
-        // audit: non-energy — the eviction's L2 read and directory update
-        // are charged through l2_accesses/dir_updates.
         pub evictions_clean: u64,
         /// Dirty evictions from L2 (write-back traffic).
-        // audit: non-energy — write-back energy is charged through
-        // l2_accesses and network flit counters.
         pub evictions_dirty: u64,
         /// Silent evictions (Dir_kB only).
-        // audit: non-energy — silent by definition: no message, no
-        // directory update, hence no extra energy event.
         pub evictions_silent: u64,
 
         /// Directory lookups (any request or ack touching an entry).
@@ -56,45 +43,28 @@ counters_struct! {
         /// Directory entry updates (state/sharer-list writes).
         pub dir_updates: u64,
         /// Invalidations sent as unicasts.
-        // audit: non-energy — protocol-mix diagnostic (Fig. 15); the
-        // message's energy is charged by the network counters.
         pub inv_unicasts: u64,
         /// Invalidation broadcasts sent.
-        // audit: non-energy — protocol-mix diagnostic (Figs. 14–16); the
-        // message's energy is charged by the network counters.
         pub inv_broadcasts: u64,
         /// Invalidation acknowledgements received at directories.
-        // audit: non-energy — each ack's directory touch is charged through
-        // dir_lookups; transport through network counters.
         pub inv_acks: u64,
         /// Sharer-list overflows (transition to the global/limited regime).
-        // audit: non-energy — protocol-mix diagnostic (ACKwise_k sizing).
         pub sharer_overflows: u64,
 
         /// Memory controller line reads.
-        // audit: non-energy — off-chip DRAM is outside the paper's Fig. 7
-        // network+cache energy scope (§V-C).
         pub mem_reads: u64,
         /// Memory controller line writes.
-        // audit: non-energy — off-chip DRAM is outside the paper's Fig. 7
-        // network+cache energy scope (§V-C).
         pub mem_writes: u64,
         /// Total cycles memory requests waited in controller queues
         /// (bandwidth contention, 5 GB/s per controller).
-        // audit: non-energy — queueing-delay diagnostic; waiting burns no
-        // modeled dynamic energy.
         pub mem_queue_cycles: u64,
 
         /// Coherence messages buffered by the §IV-C-1 sequence-number logic
         /// because they arrived out of order (unicast ahead of broadcast).
-        // audit: non-energy — ordering diagnostic (§IV-C-1); the buffered
-        // message's transport energy was already charged in flight.
         pub seq_buffered_unicasts: u64,
         /// Broadcast invalidations buffered behind an outstanding ShReq.
-        // audit: non-energy — ordering diagnostic (§IV-C-1).
         pub seq_buffered_broadcasts: u64,
         /// Buffered broadcasts that turned out to be stale and were dropped.
-        // audit: non-energy — ordering diagnostic (§IV-C-1).
         pub seq_dropped_broadcasts: u64,
     }
 }

@@ -34,6 +34,12 @@
 //! comparing sequence numbers when the `ShRep` arrives — exactly the
 //! paper's mechanism, including the wrap-around comparison.
 
+// Hot path (atac-audit `HOT_PATH_FILES`): panics and lossy casts need an `#[expect]`.
+#![warn(clippy::expect_used, clippy::unwrap_used, clippy::cast_sign_loss)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+// State machine: name every variant, so a new one fails until handled.
+#![warn(clippy::wildcard_enum_match_arm)]
+
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -101,8 +107,9 @@ impl CoreMem {
 
 /// TCP-style wrap-around comparison: is `a` strictly newer than `b`?
 #[inline]
+#[expect(clippy::cast_possible_wrap, reason = "two's complement is the compare")]
 pub fn seq_newer(a: u16, b: u16) -> bool {
-    (a.wrapping_sub(b) as i16) > 0 // audit: allow(cast) two's-complement reinterpret IS the wrap-around compare
+    (a.wrapping_sub(b) as i16) > 0
 }
 
 /// The complete memory subsystem.
@@ -320,7 +327,8 @@ impl MemorySystem {
             }
             done.clear();
             self.memctrls[cl].drain_completed(now, &mut done);
-            let hub = self.topo.hub_core(atac_net::ClusterId(cl as u8)); // audit: allow(cast) cluster count ≤ 64 fits u8
+            #[expect(clippy::cast_possible_truncation, reason = "clusters ≤ 64 fit u8")]
+            let hub = self.topo.hub_core(atac_net::ClusterId(cl as u8));
             for op in done.drain(..) {
                 if op.is_write {
                     continue; // writes complete silently
@@ -466,7 +474,8 @@ impl MemorySystem {
             CohKind::ExRep => self.core_fill(core, p, LineState::M),
             CohKind::UpgradeRep => {
                 let cm = &mut self.cores[core.idx()];
-                let m = cm.mshr.take().expect("upgrade without MSHR"); // audit: allow(expect) upgrade replies only answer an outstanding MSHR
+                #[expect(clippy::expect_used, reason = "upgrades answer an outstanding MSHR")]
+                let m = cm.mshr.take().expect("upgrade without MSHR");
                 assert_eq!(m.addr, p.addr);
                 assert!(m.ex);
                 self.stats.l2_accesses += 1;
@@ -530,7 +539,8 @@ impl MemorySystem {
     /// broadcast invalidate per the §IV-C-1 rules.
     fn core_fill(&mut self, core: CoreId, p: CohPayload, state: LineState) {
         let cm = &mut self.cores[core.idx()];
-        let m = cm.mshr.take().expect("fill without MSHR"); // audit: allow(expect) fills only answer an outstanding MSHR
+        #[expect(clippy::expect_used, reason = "fills only answer an outstanding MSHR")]
+        let m = cm.mshr.take().expect("fill without MSHR");
         assert_eq!(m.addr, p.addr, "fill for wrong line");
         self.stats.l2_accesses += 1;
         let victim = cm.l2.fill(p.addr, state);
@@ -613,7 +623,8 @@ impl MemorySystem {
             // directory cannot start a second counted invalidation before
             // collecting our ack for the first), so older buffered ones
             // are necessarily stale: keep only the newest.
-            let mshr = cm.mshr.as_mut().expect("checked"); // audit: allow(expect) presence checked just above
+            #[expect(clippy::expect_used, reason = "presence checked just above")]
+            let mshr = cm.mshr.as_mut().expect("checked");
             if let Some(old) = mshr.buffered_bcast.replace(p) {
                 debug_assert!(seq_newer(p.seq, old.seq), "broadcasts arrive in order");
                 self.stats.seq_dropped_broadcasts += 1;
@@ -645,13 +656,14 @@ impl MemorySystem {
     /// Deliver held unicasts whose sequence horizon has been reached.
     fn release_held(&mut self, core: CoreId) {
         loop {
+            #[expect(clippy::expect_used, reason = "loop guard guarantees a queued message")]
             let next = {
                 let cm = &mut self.cores[core.idx()];
                 match cm.held.front() {
                     Some(p) => {
                         let home = p.addr.home(&self.topo);
                         if !seq_newer(p.seq, cm.last_bcast[home.idx()]) {
-                            Some(cm.held.pop_front().expect("front")) // audit: allow(expect) loop guard guarantees a queued message
+                            Some(cm.held.pop_front().expect("front"))
                         } else {
                             None
                         }
@@ -717,7 +729,8 @@ impl MemorySystem {
     /// Process one request against a stable entry.
     fn dir_process(&mut self, addr: Addr, req: WaitingReq) {
         let home = addr.home(&self.topo);
-        let state = self.dir.get(&addr).expect("entry exists").state.clone(); // audit: allow(expect) caller verified the directory entry exists; audit: allow(alloc) k-pointer state copy
+        #[expect(clippy::expect_used, reason = "caller checked the entry exists")]
+        let state = self.dir.get(&addr).expect("entry exists").state.clone(); // audit: allow(alloc) k-pointer state copy
         self.stats.dir_updates += 1;
         match (state, req.ex) {
             (DirState::Uncached, ex) => {
@@ -783,7 +796,8 @@ impl MemorySystem {
                             .filter(|&c| c != req.requester)
                             .collect(); // audit: allow(alloc) invalidation target list ≤ k pointers
                         debug_assert!(!targets.is_empty());
-                        let needed = targets.len() as u32; // audit: allow(cast) sharer count ≤ cores ≤ 1024
+                        #[expect(clippy::cast_possible_truncation, reason = "sharers ≤ 1024 cores")]
+                        let needed = targets.len() as u32;
                         for t in &targets {
                             self.stats.inv_unicasts += 1;
                             self.send_home(home, *t, CohKind::Inv, addr, req.requester);
@@ -824,7 +838,8 @@ impl MemorySystem {
                         // other.
                         let needed = match self.protocol {
                             ProtocolKind::AckWise { .. } => count,
-                            ProtocolKind::DirB { .. } => self.topo.cores() as u32, // audit: allow(cast) core count ≤ 1024
+                            #[expect(clippy::cast_possible_truncation, reason = "cores ≤ 1024")]
+                            ProtocolKind::DirB { .. } => self.topo.cores() as u32,
                         };
                         // With identities lost, data is fetched
                         // conservatively (the requester's copy, if any,
@@ -883,12 +898,19 @@ impl MemorySystem {
     fn dir_inv_ack(&mut self, addr: Addr) {
         self.stats.dir_lookups += 1;
         self.stats.inv_acks += 1;
-        let entry = self.dir.get_mut(&addr).expect("ack for live entry"); // audit: allow(expect) entry stays live while acks are outstanding
+        #[expect(clippy::expect_used, reason = "entry lives while acks are due")]
+        let entry = self.dir.get_mut(&addr).expect("ack for live entry");
         match &mut entry.state {
             DirState::WaitAcks { needed, .. } => {
                 *needed -= 1;
             }
-            s => panic!("InvAck in state {s:?}"),
+            s @ (DirState::Uncached
+            | DirState::Shared(_)
+            | DirState::Modified(_)
+            | DirState::WaitMem { .. }
+            | DirState::WaitMemShared { .. }
+            | DirState::WaitWb { .. }
+            | DirState::WaitFlush { .. }) => panic!("InvAck in state {s:?}"),
         }
         self.dir_check_acks_done(addr);
     }
@@ -896,8 +918,9 @@ impl MemorySystem {
     fn dir_mem_data(&mut self, addr: Addr) {
         self.stats.dir_lookups += 1;
         let home = addr.home(&self.topo);
-        let entry = self.dir.get_mut(&addr).expect("mem data for live entry"); // audit: allow(expect) entry stays live while memory data is in flight
-                                                                               // audit: allow(alloc) k-pointer state copy; entry is mutated below
+        #[expect(clippy::expect_used, reason = "entry lives until memory data lands")]
+        let entry = self.dir.get_mut(&addr).expect("mem data for live entry");
+        // audit: allow(alloc) k-pointer state copy; entry is mutated below
         match entry.state.clone() {
             DirState::WaitMem { requester, ex } => {
                 let (kind, st) = if ex {
@@ -927,13 +950,18 @@ impl MemorySystem {
                 }
                 self.dir_check_acks_done(addr);
             }
-            s => panic!("MemData in state {s:?}"),
+            s @ (DirState::Uncached
+            | DirState::Shared(_)
+            | DirState::Modified(_)
+            | DirState::WaitWb { .. }
+            | DirState::WaitFlush { .. }) => panic!("MemData in state {s:?}"),
         }
     }
 
     fn dir_check_acks_done(&mut self, addr: Addr) {
         let home = addr.home(&self.topo);
-        let entry = self.dir.get(&addr).expect("entry"); // audit: allow(expect) transition targets a live directory entry
+        #[expect(clippy::expect_used, reason = "transitions target a live entry")]
+        let entry = self.dir.get(&addr).expect("entry");
         if let DirState::WaitAcks {
             requester,
             needed,
@@ -957,7 +985,8 @@ impl MemorySystem {
     fn dir_evict(&mut self, addr: Addr, from: CoreId) {
         self.stats.dir_lookups += 1;
         self.stats.dir_updates += 1;
-        let entry = self.dir.get_mut(&addr).expect("evict for live entry"); // audit: allow(expect) evictions come from caches the directory tracks
+        #[expect(clippy::expect_used, reason = "evictions come from tracked caches")]
+        let entry = self.dir.get_mut(&addr).expect("evict for live entry");
         let mut recheck_acks = false;
         match &mut entry.state {
             DirState::Shared(sharers) => {
@@ -975,7 +1004,11 @@ impl MemorySystem {
                 *needed = needed.saturating_sub(1);
                 recheck_acks = true;
             }
-            s => panic!("Evict from {from:?} in state {s:?}"),
+            s @ (DirState::Uncached
+            | DirState::Modified(_)
+            | DirState::WaitMem { .. }
+            | DirState::WaitWb { .. }
+            | DirState::WaitFlush { .. }) => panic!("Evict from {from:?} in state {s:?}"),
         }
         if recheck_acks {
             self.dir_check_acks_done(addr);
@@ -987,8 +1020,9 @@ impl MemorySystem {
     fn dir_evict_dirty(&mut self, addr: Addr, from: CoreId, now: Cycle) {
         self.stats.dir_lookups += 1;
         let home = addr.home(&self.topo);
-        let entry = self.dir.get_mut(&addr).expect("dirty evict for live entry"); // audit: allow(expect) dirty evictions come from a tracked M holder
-                                                                                  // audit: allow(alloc) k-pointer state copy; entry is mutated below
+        #[expect(clippy::expect_used, reason = "dirty evictions come from the M holder")]
+        let entry = self.dir.get_mut(&addr).expect("dirty evict for live entry");
+        // audit: allow(alloc) k-pointer state copy; entry is mutated below
         match entry.state.clone() {
             DirState::Modified(owner) => {
                 assert_eq!(owner, from);
@@ -1011,15 +1045,20 @@ impl MemorySystem {
                 self.send_home(home, requester, CohKind::ExRep, addr, requester);
                 self.dir_retire(addr);
             }
-            s => panic!("EvictDirty from {from:?} in state {s:?}"),
+            s @ (DirState::Uncached
+            | DirState::Shared(_)
+            | DirState::WaitMem { .. }
+            | DirState::WaitMemShared { .. }
+            | DirState::WaitAcks { .. }) => panic!("EvictDirty from {from:?} in state {s:?}"),
         }
     }
 
     fn dir_wb_data(&mut self, addr: Addr, now: Cycle) {
         self.stats.dir_lookups += 1;
         let home = addr.home(&self.topo);
-        let entry = self.dir.get(&addr).expect("wb data for live entry"); // audit: allow(expect) writeback data answers a live WbReq
-                                                                          // audit: allow(alloc) k-pointer state copy; entry is mutated below
+        #[expect(clippy::expect_used, reason = "writeback data answers a live WbReq")]
+        let entry = self.dir.get(&addr).expect("wb data for live entry");
+        // audit: allow(alloc) k-pointer state copy; entry is mutated below
         match entry.state.clone() {
             DirState::WaitWb { requester, owner } => {
                 self.mem_write(home, addr, now);
@@ -1029,29 +1068,43 @@ impl MemorySystem {
                 self.send_home(home, requester, CohKind::ShRep, addr, requester);
                 self.dir_retire(addr);
             }
-            s => panic!("WbData in state {s:?}"),
+            s @ (DirState::Uncached
+            | DirState::Shared(_)
+            | DirState::Modified(_)
+            | DirState::WaitMem { .. }
+            | DirState::WaitMemShared { .. }
+            | DirState::WaitAcks { .. }
+            | DirState::WaitFlush { .. }) => panic!("WbData in state {s:?}"),
         }
     }
 
     fn dir_flush_data(&mut self, addr: Addr) {
         self.stats.dir_lookups += 1;
         let home = addr.home(&self.topo);
-        let entry = self.dir.get(&addr).expect("flush data for live entry"); // audit: allow(expect) flush data answers a live FlushReq
-                                                                             // audit: allow(alloc) k-pointer state copy; entry is mutated below
+        #[expect(clippy::expect_used, reason = "flush data answers a live FlushReq")]
+        let entry = self.dir.get(&addr).expect("flush data for live entry");
+        // audit: allow(alloc) k-pointer state copy; entry is mutated below
         match entry.state.clone() {
             DirState::WaitFlush { requester, .. } => {
                 self.set_dir(addr, DirState::Modified(requester));
                 self.send_home(home, requester, CohKind::ExRep, addr, requester);
                 self.dir_retire(addr);
             }
-            s => panic!("FlushData in state {s:?}"),
+            s @ (DirState::Uncached
+            | DirState::Shared(_)
+            | DirState::Modified(_)
+            | DirState::WaitMem { .. }
+            | DirState::WaitMemShared { .. }
+            | DirState::WaitAcks { .. }
+            | DirState::WaitWb { .. }) => panic!("FlushData in state {s:?}"),
         }
     }
 
     /// After returning to a stable state, serve queued requests.
     fn dir_retire(&mut self, addr: Addr) {
         loop {
-            let entry = self.dir.get_mut(&addr).expect("entry"); // audit: allow(expect) transition targets a live directory entry
+            #[expect(clippy::expect_used, reason = "transitions target a live entry")]
+            let entry = self.dir.get_mut(&addr).expect("entry");
             if entry.state.is_transient() {
                 break;
             }
@@ -1066,11 +1119,12 @@ impl MemorySystem {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "transitions target a live entry")]
     fn set_dir(&mut self, addr: Addr, state: DirState) {
         if let DirState::Modified(owner) = state {
             self.debug_check_exclusive_grant(addr, owner);
         }
-        self.dir.get_mut(&addr).expect("entry").state = state; // audit: allow(expect) transition targets a live directory entry
+        self.dir.get_mut(&addr).expect("entry").state = state;
     }
 
     /// Sanitizer: when the directory commits a line to `Modified(owner)`,
@@ -1139,7 +1193,8 @@ impl MemorySystem {
     ) {
         let deliveries = match dest {
             Dest::Unicast(_) => 1,
-            Dest::Broadcast => self.topo.cores() as u32 - 1, // audit: allow(cast) core count ≤ 1024
+            #[expect(clippy::cast_possible_truncation, reason = "core count ≤ 1024")]
+            Dest::Broadcast => self.topo.cores() as u32 - 1,
         };
         let token = self.payloads.insert(
             CohPayload {
@@ -1196,8 +1251,8 @@ impl MemorySystem {
         for (ci, cm) in self.cores.iter().enumerate() {
             for (addr, st) in cm.l2.resident() {
                 match st {
+                    #[expect(clippy::cast_possible_truncation, reason = "cores ≤ 1024 fit u16")]
                     LineState::M => {
-                        // audit: allow(cast) core index ≤ 1024 fits u16
                         if let Some(prev) = m_holder.insert(addr, CoreId(ci as u16)) {
                             panic!("two M holders for {addr:?}: {prev:?} and core {ci}");
                         }
@@ -1241,7 +1296,13 @@ impl MemorySystem {
                     }
                 }
                 DirState::Uncached => {}
-                s => panic!("transient state {s:?} at quiescence for {addr:?}"),
+                s @ (DirState::WaitMem { .. }
+                | DirState::WaitMemShared { .. }
+                | DirState::WaitAcks { .. }
+                | DirState::WaitWb { .. }
+                | DirState::WaitFlush { .. }) => {
+                    panic!("transient state {s:?} at quiescence for {addr:?}")
+                }
             }
         }
     }

@@ -243,6 +243,7 @@ fn cmd_run(args: &[String]) -> i32 {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "writes the requested exports")]
 fn cmd_run_traced(spec: &RunSpec) -> i32 {
     use std::cell::RefCell;
     use std::rc::Rc;

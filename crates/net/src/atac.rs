@@ -19,6 +19,12 @@
 //! integration in `atac-sim` applies the per-flit energies of whichever
 //! receive net the configuration selects.
 
+// Hot path (atac-audit `HOT_PATH_FILES`): panics and lossy casts need an `#[expect]`.
+#![warn(clippy::expect_used, clippy::unwrap_used, clippy::cast_sign_loss)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+// State machine: name every variant, so a new one fails until handled.
+#![warn(clippy::wildcard_enum_match_arm)]
+
 use crate::mesh::{Mesh, MeshKind};
 use crate::onet::Onet;
 use crate::stats::NetStats;
@@ -269,9 +275,11 @@ impl Network for AtacNet {
         // O(clusters) scan.
         if self.enet.has_hub_out() {
             for cl in 0..self.topo.clusters() {
-                let cl = crate::types::ClusterId(cl as u8); // audit: allow(cast) cluster count ≤ 64 fits u8
+                #[expect(clippy::cast_possible_truncation, reason = "clusters ≤ 64 fit u8")]
+                let cl = crate::types::ClusterId(cl as u8);
                 while self.onet.can_accept(cl) && self.enet.hub_out_ready(cl) {
-                    let (msg, inject) = self.enet.pop_hub_out(cl).expect("ready"); // audit: allow(expect) readiness checked by hub_out_ready above
+                    #[expect(clippy::expect_used, reason = "hub_out_ready checked it above")]
+                    let (msg, inject) = self.enet.pop_hub_out(cl).expect("ready");
                     self.onet.stats.hub_buffer_reads += 1;
                     self.onet.accept(cl, msg, inject);
                 }

@@ -41,6 +41,12 @@
 //! flit) so [`Mesh::next_event`] can hand the engine a skip-ahead target
 //! covering quiet stretches.
 
+// Hot path (atac-audit `HOT_PATH_FILES`): panics and lossy casts need an `#[expect]`.
+#![warn(clippy::expect_used, clippy::unwrap_used, clippy::cast_sign_loss)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+// State machine: name every variant, so a new one fails until handled.
+#![warn(clippy::wildcard_enum_match_arm)]
+
 use std::collections::VecDeque;
 
 use crate::stats::NetStats;
@@ -284,10 +290,12 @@ impl Mesh {
         let mut neighbor = vec![NO_NEIGHBOR; n * 4];
         let mut cluster = Vec::with_capacity(n);
         for r in 0..n {
-            let c = CoreId(r as u16); // audit: allow(cast) router index < cores ≤ 1024
+            #[expect(clippy::cast_possible_truncation, reason = "routers ≤ 1024 fit u16")]
+            let c = CoreId(r as u16);
             let (x, y) = topo.xy(c);
             coords.push((x, y));
-            cluster.push(topo.cluster_of(c).idx() as u16); // audit: allow(cast) cluster count ≤ 64
+            #[expect(clippy::cast_possible_truncation, reason = "cluster count ≤ 64")]
+            cluster.push(topo.cluster_of(c).idx() as u16);
             if y > 0 {
                 neighbor[r * 4 + Port::North.idx()] = u32::from(topo.core_at(x, y - 1).0);
             }
@@ -399,6 +407,7 @@ impl Mesh {
         self.kind
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "slab ≤ in-flight packets")]
     fn alloc_packet(&mut self, p: Packet) -> u32 {
         if let Some(id) = self.free.pop() {
             self.packets[id as usize] = Some(p);
@@ -406,7 +415,7 @@ impl Mesh {
         } else {
             // audit: allow(alloc) amortized: packet slab grows to the in-flight high-water mark, then recycles via `free`
             self.packets.push(Some(p));
-            (self.packets.len() - 1) as u32 // audit: allow(cast) slab index bounded by in-flight packet cap
+            (self.packets.len() - 1) as u32
         }
     }
 
@@ -432,8 +441,9 @@ impl Mesh {
     }
 
     /// Number of flits a message occupies.
+    #[expect(clippy::cast_possible_truncation, reason = "a packet has < 10 flits")]
     fn flits_of(&self, msg: &Message) -> u8 {
-        msg.class.flits(self.flit_width) as u8 // audit: allow(cast) flit count per packet is single-digit
+        msg.class.flits(self.flit_width) as u8
     }
 
     /// Packet constructor helper: destination coordinates for routed
@@ -562,7 +572,7 @@ impl Mesh {
     fn inject_expanded_broadcast(&mut self, msg: Message, now: Cycle) -> bool {
         self.stats.broadcast_messages += 1;
         let len = self.flits_of(&msg);
-        // audit: allow(cast) core count ≤ 1024 fits u16
+        #[expect(clippy::cast_possible_truncation, reason = "cores ≤ 1024 fit u16")]
         for c in 0..self.topo.cores() as u16 {
             let dst = CoreId(c);
             if dst == msg.src {
@@ -767,19 +777,20 @@ impl Mesh {
     /// Enqueue a flit on input queue `q`; the caller holds the credit
     /// (checked `buf_len < buffer_depth`).
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "buffer depth ≤ 255")]
     fn buf_push(&mut self, q: usize, f: Flit) {
         let len = self.buf_len[q] as usize;
         debug_assert!(len < self.buffer_depth, "credit check precedes enqueue");
         let slot = (self.buf_head[q] as usize + len) & self.buf_mask;
         self.buf_slab[q * self.buf_stride + slot] = f;
-        self.buf_len[q] = (len + 1) as u8; // audit: allow(cast) buffer depth ≤ 255
+        self.buf_len[q] = (len + 1) as u8;
     }
 
     /// Dequeue the front flit of input queue `q`.
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "buffer depth ≤ 255")]
     fn buf_pop(&mut self, q: usize) {
         debug_assert!(self.buf_len[q] > 0);
-        // audit: allow(cast) buffer depth ≤ 255
         self.buf_head[q] = ((self.buf_head[q] as usize + 1) & self.buf_mask) as u8;
         self.buf_len[q] -= 1;
     }
@@ -885,6 +896,7 @@ impl Mesh {
         }
         // A lone candidate needs no rotation — and it is the common case
         // by far, so it skips the integer division entirely.
+        #[expect(clippy::cast_possible_truncation, reason = "usize is 64-bit on hosts")]
         let rot = if total == 1 {
             0
         } else {
@@ -1150,7 +1162,8 @@ impl Mesh {
         let (continues, port) = if self.run_port_pkt[q_dst] == pkt_id {
             (self.run_cont[q_dst], self.run_port[q_dst])
         } else {
-            let pkt = self.packets[pkt_id as usize].expect("live packet"); // audit: allow(expect) flit refs keep the slab entry live
+            #[expect(clippy::expect_used, reason = "flit refs keep the slab entry live")]
+            let pkt = self.packets[pkt_id as usize].expect("live packet");
             let cont = self.continues_at(&pkt, nri);
             let p = if cont {
                 self.route_port(&pkt, nri)
@@ -1198,9 +1211,12 @@ impl Mesh {
                 arrival: now + j as Cycle + 2,
             };
         }
-        self.buf_head[q_src] = ((head + m) & self.buf_mask) as u8; // audit: allow(cast) buffer depth ≤ 255
-        self.buf_len[q_src] -= m as u8; // audit: allow(cast) m ≤ buffer depth ≤ 255
-        self.buf_len[q_dst] = (dst_len + m) as u8; // audit: allow(cast) bounded by buffer depth ≤ 255
+        #[expect(clippy::cast_possible_truncation, reason = "bounded by depth ≤ 255")]
+        {
+            self.buf_head[q_src] = ((head + m) & self.buf_mask) as u8;
+            self.buf_len[q_src] -= m as u8;
+            self.buf_len[q_dst] = (dst_len + m) as u8;
+        }
         self.busy_until[q_src] = now + m as Cycle;
         self.stats.buffer_reads += m as u64;
         self.stats.buffer_writes += m as u64;
@@ -1244,7 +1260,8 @@ impl Mesh {
         // passes, and a fresh head always refreshes the cache before its
         // body arrives, so a non-head hit is always this packet's entry).
         let (continues, port) = if idx == 0 {
-            let pkt = self.packets[pkt_id as usize].expect("live packet"); // audit: allow(expect) flit refs keep the slab entry live
+            #[expect(clippy::expect_used, reason = "flit refs keep the slab entry live")]
+            let pkt = self.packets[pkt_id as usize].expect("live packet");
             let cont = self.continues_at(&pkt, nri);
             let p = if cont {
                 self.route_port(&pkt, nri)
@@ -1258,7 +1275,8 @@ impl Mesh {
         } else if self.run_port_pkt[q] == pkt_id {
             (self.run_cont[q], self.run_port[q])
         } else {
-            let pkt = self.packets[pkt_id as usize].expect("live packet"); // audit: allow(expect) flit refs keep the slab entry live
+            #[expect(clippy::expect_used, reason = "flit refs keep the slab entry live")]
+            let pkt = self.packets[pkt_id as usize].expect("live packet");
             let cont = self.continues_at(&pkt, nri);
             let p = if cont {
                 self.route_port(&pkt, nri)
@@ -1316,12 +1334,14 @@ impl Mesh {
     /// effect at `ready`): spawn the local copy (and, for row branches,
     /// the column branches); free the packet if the branch ends here.
     fn on_tail_arrival(&mut self, pkt_id: u32, at: usize, continues: bool, ready: Cycle) {
-        let pkt = self.packets[pkt_id as usize].expect("live packet"); // audit: allow(expect) flit refs keep the slab entry live
+        #[expect(clippy::expect_used, reason = "flit refs keep the slab entry live")]
+        let pkt = self.packets[pkt_id as usize].expect("live packet");
         let (_, y) = self.coords[at];
         match pkt.route {
             Route::ToCore(_) | Route::ToHub(_) => {}
             Route::McastRow(_) => {
-                let here = CoreId(at as u16); // audit: allow(cast) router index < cores fits u16
+                #[expect(clippy::cast_possible_truncation, reason = "routers ≤ 1024 fit u16")]
+                let here = CoreId(at as u16);
                 self.spawn(pkt_id, at, Route::ToCore(here), ready);
                 if y > 0 {
                     self.spawn(pkt_id, at, Route::McastCol(Dir::North), ready);
@@ -1334,7 +1354,8 @@ impl Mesh {
                 }
             }
             Route::McastCol(_) => {
-                let here = CoreId(at as u16); // audit: allow(cast) router index < cores fits u16
+                #[expect(clippy::cast_possible_truncation, reason = "routers ≤ 1024 fit u16")]
+                let here = CoreId(at as u16);
                 self.spawn(pkt_id, at, Route::ToCore(here), ready);
                 if !continues {
                     self.free_packet(pkt_id);
@@ -1344,7 +1365,8 @@ impl Mesh {
     }
 
     fn spawn(&mut self, parent: u32, at: usize, route: Route, ready: Cycle) {
-        let p = self.packets[parent as usize].expect("live packet"); // audit: allow(expect) parent held live until children spawn
+        #[expect(clippy::expect_used, reason = "parent held live until children spawn")]
+        let p = self.packets[parent as usize].expect("live packet");
         let (dest_x, dest_y) = self.dest_xy(route);
         let id = self.alloc_packet(Packet {
             route,
@@ -1368,7 +1390,8 @@ impl Mesh {
         if !is_tail {
             return;
         }
-        let pkt = self.packets[pkt_id as usize].expect("live packet"); // audit: allow(expect) flit refs keep the slab entry live
+        #[expect(clippy::expect_used, reason = "flit refs keep the slab entry live")]
+        let pkt = self.packets[pkt_id as usize].expect("live packet");
         let receiver = match pkt.route {
             Route::ToCore(d) => d,
             Route::ToHub(_) | Route::McastRow(_) | Route::McastCol(_) => {
@@ -1414,8 +1437,9 @@ impl Mesh {
         self.hub_used[cl] += 1;
         self.stats.hub_buffer_writes += 1;
         if is_tail {
-            let pkt = self.packets[pkt_id as usize].expect("live packet"); // audit: allow(expect) flit refs keep the slab entry live
-                                                                           // audit: allow(alloc) consumer-drained: popped by the hub arbiter every cycle via `pop_hub_out`
+            #[expect(clippy::expect_used, reason = "flit refs keep the slab entry live")]
+            let pkt = self.packets[pkt_id as usize].expect("live packet");
+            // audit: allow(alloc) consumer-drained: popped by the hub arbiter every cycle via `pop_hub_out`
             self.hub_out[cl].push_back((pkt.msg, pkt.inject));
             self.hub_out_msgs += 1;
             self.free_packet(pkt_id);
@@ -1425,6 +1449,7 @@ impl Mesh {
 }
 #[cfg(test)]
 #[path = "mesh_golden.rs"]
+#[allow(clippy::cast_possible_truncation, reason = "test-only reference model")]
 mod golden;
 
 #[cfg(test)]
@@ -1561,6 +1586,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "NIC_CAP is small")]
     fn nic_back_pressure_eventually_refuses() {
         let topo = Topology::small(4, 2);
         let mut mesh = Mesh::new(topo, MeshKind::Pure, 64, 4);

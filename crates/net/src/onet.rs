@@ -28,6 +28,12 @@
 //! is where broadcast replication contends (§V-F discusses exactly this
 //! contention), so the drain budget is modeled per cluster.
 
+// Hot path (atac-audit `HOT_PATH_FILES`): panics and lossy casts need an `#[expect]`.
+#![warn(clippy::expect_used, clippy::unwrap_used, clippy::cast_sign_loss)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+// State machine: name every variant, so a new one fails until handled.
+#![warn(clippy::wildcard_enum_match_arm)]
+
 use std::collections::VecDeque;
 
 use crate::stats::NetStats;
@@ -174,7 +180,8 @@ impl Onet {
     /// cluster's SWMR link. Panics if called without [`Onet::can_accept`].
     pub fn accept(&mut self, cluster: ClusterId, msg: Message, inject: Cycle) {
         assert!(self.can_accept(cluster), "hub TX queue overflow");
-        let len = msg.class.flits(self.flit_width) as u8; // audit: allow(cast) flit count per packet is single-digit
+        #[expect(clippy::cast_possible_truncation, reason = "a packet has < 10 flits")]
+        let len = msg.class.flits(self.flit_width) as u8;
         let dest = match msg.dest {
             Dest::Unicast(d) => {
                 let dc = self.topo.cluster_of(d);
@@ -310,7 +317,8 @@ impl Onet {
             };
             self.obs.hub_tx(h, kind, u64::from(tx.len));
             self.probe.onet_tx(&OnetTx {
-                hub: h as u32, // audit: allow(cast) hub index < clusters ≤ 64
+                #[expect(clippy::cast_possible_truncation, reason = "hub index < clusters ≤ 64")]
+                hub: h as u32,
                 kind,
                 start,
                 end: until + ONET_LINK_DELAY,
@@ -352,6 +360,7 @@ impl Onet {
                     break;
                 };
                 // Flit i is forwardable once it has propagated the ring.
+                #[expect(clippy::cast_possible_truncation, reason = "min() with a u8 fits u8")]
                 let arrived = now
                     .saturating_sub(head.start + ONET_LINK_DELAY)
                     .saturating_add(if now >= head.start + ONET_LINK_DELAY {
@@ -359,7 +368,7 @@ impl Onet {
                     } else {
                         0
                     })
-                    .min(Cycle::from(head.len)) as u8; // audit: allow(cast) min() with a u8-sized length fits u8
+                    .min(Cycle::from(head.len)) as u8;
                 if head.forwarded >= arrived {
                     break; // in-order pipeline: wait for the head's flits
                 }
@@ -407,7 +416,7 @@ impl Onet {
                 });
             }
             Dest::Broadcast => {
-                // audit: allow(cast) cluster count ≤ 64 fits u8
+                #[expect(clippy::cast_possible_truncation, reason = "clusters ≤ 64 fit u8")]
                 for c in self.topo.cluster_cores(ClusterId(cl as u8)) {
                     if c == pkt.msg.src {
                         continue;
@@ -624,6 +633,7 @@ mod tests {
     fn tx_queue_capacity_respected() {
         let t = topo();
         let mut onet = Onet::new(t, 64);
+        #[expect(clippy::cast_possible_truncation, reason = "HUB_TX_CAP is small")]
         for i in 0..HUB_TX_CAP as u16 {
             assert!(onet.can_accept(ClusterId(0)));
             onet.accept(

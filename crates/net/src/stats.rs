@@ -7,9 +7,10 @@
 //! traffic mix feeds Fig. 5, injected flit counts feed Fig. 6, and the
 //! SWMR mode cycles feed Table V and the laser energy model.
 //!
-//! Counter-coverage contract (enforced by `atac-audit`): every field
-//! below must either be folded into `crates/sim/src/energy.rs` or carry
-//! an `// audit: non-energy` waiver explaining why it is performance-only.
+//! Counter coverage: `atac_sim::energy::integrate` destructures this
+//! struct field by field, with no `..`, so a new counter fails to compile
+//! until it is either charged there or bound as `_` next to the reason it
+//! carries no energy.
 
 use crate::counters_struct;
 
@@ -19,28 +20,19 @@ counters_struct! {
     pub struct NetStats {
         // ---- Traffic accounting ------------------------------------------
         /// Messages accepted for injection (unicast).
-        // audit: non-energy — traffic-mix statistic (Table V); flit-level
-        // energy is charged via buffer/xbar/link counters below.
         pub unicast_messages: u64,
         /// Messages accepted for injection (broadcast).
-        // audit: non-energy — traffic-mix statistic (Table V / Fig. 5).
         pub broadcast_messages: u64,
         /// Flits injected into the network (after any source expansion).
-        // audit: non-energy — offered-load metric (Fig. 6); per-flit energy
-        // is charged at each buffer/crossbar/link event, not at injection.
         pub flits_injected: u64,
         /// Message deliveries whose original message was a unicast
         /// (measured at the receiver, as in Fig. 5).
-        // audit: non-energy — receiver-side traffic mix (Fig. 5).
         pub unicast_received: u64,
         /// Message deliveries whose original message was a broadcast.
-        // audit: non-energy — receiver-side traffic mix (Fig. 5).
         pub broadcast_received: u64,
         /// Sum of per-delivery latencies (inject cycle → tail arrival).
-        // audit: non-energy — latency statistic (Fig. 3).
         pub latency_sum: u64,
         /// Number of deliveries contributing to `latency_sum`.
-        // audit: non-energy — latency statistic (Fig. 3).
         pub latency_count: u64,
 
         // ---- Electrical mesh (ENet / EMesh) events -----------------------
@@ -87,8 +79,6 @@ counters_struct! {
 
         // ---- Run bookkeeping ----------------------------------------------
         /// Cycles simulated (set by the owner at the end of a run).
-        // audit: non-energy — completion time enters the energy integration
-        // as the `cycles` argument of `integrate`, not through this copy.
         pub cycles: u64,
     }
 }

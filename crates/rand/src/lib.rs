@@ -21,7 +21,7 @@ pub trait RngCore {
 
     /// The next 32 random bits (upper half of [`RngCore::next_u64`]).
     fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32 // audit: allow(cast) truncation is the point
+        (self.next_u64() >> 32) as u32
     }
 }
 
@@ -55,9 +55,9 @@ fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     let threshold = span.wrapping_neg() % span;
     loop {
         let m = u128::from(rng.next_u64()) * u128::from(span);
-        let low = m as u64; // audit: allow(cast) low 64 bits of the 128-bit product
+        let low = m as u64;
         if low >= threshold {
-            return (m >> 64) as u64; // audit: allow(cast) high 64 bits fit by construction
+            return (m >> 64) as u64;
         }
     }
 }
@@ -68,7 +68,7 @@ macro_rules! impl_sample_uniform_unsigned {
             fn sample_range<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self {
                 assert!(low < high, "gen_range: empty range");
                 let span = u64::from(high) - u64::from(low);
-                low + uniform_below(rng, span) as $t // audit: allow(cast) result < span fits the type
+                low + uniform_below(rng, span) as $t
             }
         }
     )*};
@@ -79,8 +79,8 @@ impl_sample_uniform_unsigned!(u8, u16, u32, u64);
 impl SampleUniform for usize {
     fn sample_range<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self {
         assert!(low < high, "gen_range: empty range");
-        let span = (high - low) as u64; // audit: allow(cast) usize ≤ 64 bits on supported targets
-        low + uniform_below(rng, span) as usize // audit: allow(cast) result < span fits usize
+        let span = (high - low) as u64;
+        low + uniform_below(rng, span) as usize
     }
 }
 
@@ -91,7 +91,7 @@ macro_rules! impl_sample_uniform_signed {
                 assert!(low < high, "gen_range: empty range");
                 // Two's-complement span: reinterpret as unsigned, widen.
                 let wide = <$u>::from_ne_bytes((high.wrapping_sub(low)).to_ne_bytes());
-                low.wrapping_add(uniform_below(rng, u64::from(wide)) as $t) // audit: allow(cast) offset < span
+                low.wrapping_add(uniform_below(rng, u64::from(wide)) as $t)
             }
         }
     )*};
@@ -116,7 +116,7 @@ pub trait Rng: RngCore {
         }
         // Compare against p scaled to the full 64-bit range; exact for
         // every representable p well beyond f64's 53-bit mantissa.
-        let scaled = (p * (u64::MAX as f64 + 1.0)) as u64; // audit: allow(cast) intentional quantization
+        let scaled = (p * (u64::MAX as f64 + 1.0)) as u64;
         self.next_u64() < scaled
     }
 }
@@ -223,7 +223,7 @@ mod tests {
     fn gen_bool_rate_is_close() {
         let mut rng = SmallRng::seed_from_u64(11);
         let hits = (0..100_000).filter(|_| rng.gen_bool(0.25)).count();
-        let rate = hits as f64 / 100_000.0; // audit: allow(cast) test statistics
+        let rate = hits as f64 / 100_000.0;
         assert!((rate - 0.25).abs() < 0.01, "rate {rate}");
     }
 

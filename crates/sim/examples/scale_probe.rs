@@ -1,3 +1,8 @@
+//! Wall-clock probe: simulates each paper benchmark at 1024 cores and
+//! prints simulated cycles next to host seconds.
+
+#![allow(clippy::disallowed_types, reason = "a host timing harness")]
+
 use atac_sim::{run, SimConfig};
 use atac_workloads::{Benchmark, Scale};
 use std::time::Instant;

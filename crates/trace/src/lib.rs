@@ -41,6 +41,10 @@
 //! depends on `atac-phys` for unit newtypes), so every simulator layer
 //! can hold a [`ProbeHandle`] without cycles.
 
+// Host crate: wall clocks and hash maps measure and schedule the host,
+// never a simulated result, so clippy.toml's determinism types are fine.
+#![allow(clippy::disallowed_types, reason = "host profiling timestamps")]
+
 pub mod collect;
 pub mod export;
 pub mod flight;

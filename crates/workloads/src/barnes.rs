@@ -130,7 +130,7 @@ pub fn build(cores: usize, scale: Scale, kind: NBody, seed: u64) -> BuiltWorkloa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn builds_both_kernels() {
@@ -144,8 +144,8 @@ mod tests {
     fn root_is_read_by_every_core_and_written_by_many() {
         let w = build(16, Scale::Paper, NBody::Barnes, 5);
         let root = Layout::shared(TREE, 0).0 / 64;
-        let mut readers = HashSet::new();
-        let mut writers = HashSet::new();
+        let mut readers = BTreeSet::new();
+        let mut writers = BTreeSet::new();
         for (c, s) in w.scripts.iter().enumerate() {
             for op in s {
                 match op {

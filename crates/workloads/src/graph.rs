@@ -108,7 +108,7 @@ pub fn build(cores: usize, scale: Scale, seed: u64) -> BuiltWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn builds_and_validates() {
@@ -120,8 +120,8 @@ mod tests {
     fn global_worklist_head_is_widely_shared() {
         let w = build(16, Scale::Paper, 11);
         let hot = Layout::shared(WORKLIST, 0).0 / 64;
-        let mut readers = HashSet::new();
-        let mut writers = HashSet::new();
+        let mut readers = BTreeSet::new();
+        let mut writers = BTreeSet::new();
         for (c, s) in w.scripts.iter().enumerate() {
             for op in s {
                 match op {
@@ -163,7 +163,7 @@ mod tests {
     fn edge_walk_scatters() {
         let w = build(16, Scale::Test, 11);
         let base = Layout::shared(EDGES, 0).0;
-        let lines: HashSet<u64> = w
+        let lines: BTreeSet<u64> = w
             .scripts
             .iter()
             .flatten()

@@ -115,7 +115,7 @@ pub fn build(cores: usize, scale: Scale, layout: OceanLayout) -> BuiltWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn builds_both_layouts() {
@@ -133,7 +133,7 @@ mod tests {
         let shared_lines = |l: OceanLayout| {
             let w = build(16, Scale::Test, l);
             // line → set of cores touching it
-            let mut touch: std::collections::HashMap<u64, HashSet<usize>> = Default::default();
+            let mut touch: std::collections::BTreeMap<u64, BTreeSet<usize>> = Default::default();
             for (c, s) in w.scripts.iter().enumerate() {
                 for op in s {
                     if let Op::Load(a) | Op::Store(a) = op {

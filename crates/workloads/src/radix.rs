@@ -152,7 +152,7 @@ mod tests {
     fn permutation_scatters_widely() {
         let w = build(8, Scale::Test, 3);
         let out_base = Layout::shared(OUTPUT, 0).0;
-        let mut lines = std::collections::HashSet::new();
+        let mut lines = std::collections::BTreeSet::new();
         for op in w.scripts.iter().flatten() {
             if let Op::Store(a) = op {
                 if a.0 >= out_base {

@@ -24,7 +24,7 @@ struct RefCache {
     ways: usize,
     line: u64,
     // per set: (tag, state), most-recent last
-    content: std::collections::HashMap<u64, Vec<(u64, LineState)>>,
+    content: std::collections::BTreeMap<u64, Vec<(u64, LineState)>>,
 }
 
 impl RefCache {
