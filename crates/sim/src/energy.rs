@@ -147,12 +147,13 @@ impl EnergyBreakdown {
     /// non-negative, and the flat component sum equals [`total`](Self::total)
     /// (which is built from the group sums) to 1e-9 relative — so the
     /// group decomposition can never silently drop or double-count a
-    /// component. Called from [`integrate`] behind `debug_assertions`.
+    /// component. Panics in every build profile; its one non-test caller,
+    /// [`integrate`], only calls it when `debug_assertions` are on.
     pub fn assert_conservation(&self) {
         let mut sum = 0.0;
         for (name, j) in self.components() {
             let v = j.value();
-            debug_assert!(
+            assert!(
                 v.is_finite() && v >= 0.0,
                 "energy component `{name}` is {v} (non-finite or negative)"
             );
@@ -160,7 +161,7 @@ impl EnergyBreakdown {
         }
         let total = self.total().value();
         let scale = total.abs().max(f64::MIN_POSITIVE);
-        debug_assert!(
+        assert!(
             ((sum - total) / scale).abs() <= 1e-9,
             "energy breakdown violates conservation: components sum to {sum} J \
              but total() reports {total} J"

@@ -116,15 +116,13 @@ pub fn build(cores: usize, scale: Scale, kind: NBody, seed: u64) -> BuiltWorkloa
         }
     }
 
-    let w = BuiltWorkload {
-        name: match kind {
+    BuiltWorkload::new(
+        match kind {
             NBody::Barnes => "barnes",
             NBody::Fmm => "fmm",
         },
         scripts,
-    };
-    w.validate();
-    w
+    )
 }
 
 #[cfg(test)]

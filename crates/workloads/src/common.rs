@@ -39,6 +39,17 @@ pub struct BuiltWorkload {
 }
 
 impl BuiltWorkload {
+    /// Wrap finished scripts: trim each to its length, so a 1024-core
+    /// build holds no spare capacity, then [`validate`](Self::validate).
+    pub fn new(name: &'static str, mut scripts: Vec<Vec<Op>>) -> Self {
+        for s in &mut scripts {
+            s.shrink_to_fit();
+        }
+        let w = BuiltWorkload { name, scripts };
+        w.validate();
+        w
+    }
+
     /// Total memory operations across all cores.
     pub fn total_mem_ops(&self) -> u64 {
         self.scripts
@@ -161,6 +172,20 @@ mod tests {
             scripts: vec![vec![Op::Barrier], vec![Op::Compute(1)]],
         };
         w.validate();
+    }
+
+    #[test]
+    fn new_trims_scripts_to_length() {
+        let mut script = Vec::with_capacity(64);
+        script.extend([Op::Compute(1), Op::Barrier]);
+        let w = BuiltWorkload::new("t", vec![script]);
+        assert_eq!(w.scripts[0].capacity(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal barrier")]
+    fn new_validates() {
+        BuiltWorkload::new("t", vec![vec![Op::Barrier], vec![Op::Compute(1)]]);
     }
 
     #[test]

@@ -97,12 +97,7 @@ pub fn build(cores: usize, scale: Scale, seed: u64) -> BuiltWorkload {
         }
     }
 
-    let w = BuiltWorkload {
-        name: "dynamic_graph",
-        scripts,
-    };
-    w.validate();
-    w
+    BuiltWorkload::new("dynamic_graph", scripts)
 }
 
 #[cfg(test)]

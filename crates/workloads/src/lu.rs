@@ -124,15 +124,13 @@ pub fn build(cores: usize, scale: Scale, layout: LuLayout) -> BuiltWorkload {
         }
     }
 
-    let w = BuiltWorkload {
-        name: match layout {
+    BuiltWorkload::new(
+        match layout {
             LuLayout::Contiguous => "lu_contig",
             LuLayout::NonContiguous => "lu_non_contig",
         },
         scripts,
-    };
-    w.validate();
-    w
+    )
 }
 
 #[cfg(test)]

@@ -101,15 +101,13 @@ pub fn build(cores: usize, scale: Scale, layout: OceanLayout) -> BuiltWorkload {
         }
     }
 
-    let w = BuiltWorkload {
-        name: match layout {
+    BuiltWorkload::new(
+        match layout {
             OceanLayout::Contiguous => "ocean_contig",
             OceanLayout::NonContiguous => "ocean_non_contig",
         },
         scripts,
-    };
-    w.validate();
-    w
+    )
 }
 
 #[cfg(test)]

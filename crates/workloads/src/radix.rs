@@ -107,12 +107,7 @@ pub fn build(cores: usize, scale: Scale, seed: u64) -> BuiltWorkload {
         }
     }
 
-    let w = BuiltWorkload {
-        name: "radix",
-        scripts,
-    };
-    w.validate();
-    w
+    BuiltWorkload::new("radix", scripts)
 }
 
 #[cfg(test)]
