@@ -1,8 +1,8 @@
-//! Directory entry state for the ACKwise_k / Dir_kB protocols.
+//! Directory state for the ACKwise_k / Dir_kB protocols.
 //!
 //! The directory is *dataless*: it tracks ownership/sharing and
 //! orchestrates data movement between caches and memory controllers, but
-//! never stores lines itself. Entries live in a sparse map keyed by line
+//! never stores lines itself. States live in a sparse map keyed by line
 //! address; the home core of a line is statically determined by
 //! [`crate::addr::Addr::home`]. Capacity (entries × entry width) is
 //! accounted by `atac-phys`'s directory cache model.
@@ -14,7 +14,6 @@
 #![warn(clippy::wildcard_enum_match_arm)]
 
 use atac_net::CoreId;
-use std::collections::VecDeque;
 
 /// Sharer tracking with `k` hardware pointers (paper §III-B).
 ///
@@ -157,40 +156,22 @@ impl DirState {
     }
 }
 
-/// A queued request waiting for the entry to return to a stable state.
+// The directory holds one per tracked line: 133 K on 1024-core radix.
+const _: () = assert!(
+    std::mem::size_of::<DirState>() <= 32,
+    "a directory state fits in 32 bytes"
+);
+
+/// A request serialized behind the line's in-flight transaction ("requests
+/// are processed serially at the directory to maintain sequential
+/// consistency", §IV-C-1), waiting for the line to return to a stable
+/// state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitingReq {
     /// Requesting core.
     pub requester: CoreId,
     /// Exclusive (write) or shared (read)?
     pub ex: bool,
-}
-
-/// A directory entry: state plus the queue of requests serialized behind
-/// the in-flight one ("requests are processed serially at the directory
-/// to maintain sequential consistency", §IV-C-1).
-#[derive(Debug, Clone)]
-pub struct DirEntry {
-    /// Current state.
-    pub state: DirState,
-    /// Requests waiting for the entry to go stable.
-    pub waiting: VecDeque<WaitingReq>,
-}
-
-impl DirEntry {
-    /// A fresh, uncached entry.
-    pub fn new() -> Self {
-        DirEntry {
-            state: DirState::Uncached,
-            waiting: VecDeque::new(),
-        }
-    }
-}
-
-impl Default for DirEntry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ use atac_trace::{HostPhase, HostProfiler, ProbeHandle, TxnEvent, TxnPhase};
 
 use crate::addr::Addr;
 use crate::cache::{LineState, SetAssocCache, Victim};
-use crate::directory::{DirEntry, DirState, SharerSet, WaitingReq};
+use crate::directory::{DirState, SharerSet, WaitingReq};
 use crate::memctrl::MemCtrl;
 use crate::protocol::{CohKind, CohPayload, PayloadTable, ProtocolKind};
 use crate::stats::CoherenceStats;
@@ -118,10 +118,14 @@ pub struct MemorySystem {
     topo: Topology,
     protocol: ProtocolKind,
     cores: Vec<CoreMem>,
-    /// Directory entries, keyed by line address; the owning slice is
-    /// implied by `Addr::home`. Ordered map so iteration (invariant
-    /// checks, debug dumps) is deterministic across processes.
-    dir: BTreeMap<Addr, DirEntry>,
+    /// Directory state per tracked line, keyed by line address; the
+    /// owning slice is implied by `Addr::home`. Ordered maps so iteration
+    /// (invariant checks, debug dumps) is deterministic across processes.
+    dir: BTreeMap<Addr, DirState>,
+    /// Requests serialized behind a line's in-flight transaction, oldest
+    /// first. Only lines with a queued request have a queue, and only a
+    /// line in a transient state can have one.
+    waiters: BTreeMap<Addr, VecDeque<WaitingReq>>,
     /// Per-home broadcast sequence counters.
     seq: Vec<u16>,
     /// Memory controllers, one per cluster, tagged with the pending
@@ -159,6 +163,7 @@ impl MemorySystem {
             protocol,
             cores: (0..n).map(|_| CoreMem::new(n)).collect(),
             dir: BTreeMap::new(),
+            waiters: BTreeMap::new(),
             seq: vec![0; n],
             memctrls: (0..topo.clusters()).map(|_| MemCtrl::default()).collect(),
             payloads: PayloadTable::default(),
@@ -717,10 +722,10 @@ impl MemorySystem {
 
     fn dir_request(&mut self, addr: Addr, req: WaitingReq) {
         self.stats.dir_lookups += 1;
-        let entry = self.dir.entry(addr).or_default();
-        if entry.state.is_transient() {
-            // audit: allow(alloc) waiter queue bounded by outstanding MSHRs; amortized
-            entry.waiting.push_back(req);
+        let state = self.dir.entry(addr).or_insert(DirState::Uncached);
+        if state.is_transient() {
+            // audit: allow(alloc) one queue per line with waiters, bounded by outstanding MSHRs
+            self.waiters.entry(addr).or_default().push_back(req);
             return;
         }
         self.dir_process(addr, req);
@@ -730,7 +735,7 @@ impl MemorySystem {
     fn dir_process(&mut self, addr: Addr, req: WaitingReq) {
         let home = addr.home(&self.topo);
         #[expect(clippy::expect_used, reason = "caller checked the entry exists")]
-        let state = self.dir.get(&addr).expect("entry exists").state.clone(); // audit: allow(alloc) k-pointer state copy
+        let state = self.dir.get(&addr).expect("entry exists").clone(); // audit: allow(alloc) k-pointer state copy
         self.stats.dir_updates += 1;
         match (state, req.ex) {
             (DirState::Uncached, ex) => {
@@ -899,8 +904,7 @@ impl MemorySystem {
         self.stats.dir_lookups += 1;
         self.stats.inv_acks += 1;
         #[expect(clippy::expect_used, reason = "entry lives while acks are due")]
-        let entry = self.dir.get_mut(&addr).expect("ack for live entry");
-        match &mut entry.state {
+        match self.dir.get_mut(&addr).expect("ack for live entry") {
             DirState::WaitAcks { needed, .. } => {
                 *needed -= 1;
             }
@@ -919,9 +923,9 @@ impl MemorySystem {
         self.stats.dir_lookups += 1;
         let home = addr.home(&self.topo);
         #[expect(clippy::expect_used, reason = "entry lives until memory data lands")]
-        let entry = self.dir.get_mut(&addr).expect("mem data for live entry");
+        let state = self.dir.get_mut(&addr).expect("mem data for live entry");
         // audit: allow(alloc) k-pointer state copy; entry is mutated below
-        match entry.state.clone() {
+        match state.clone() {
             DirState::WaitMem { requester, ex } => {
                 let (kind, st) = if ex {
                     (CohKind::ExRep, DirState::Modified(requester))
@@ -945,7 +949,7 @@ impl MemorySystem {
                 self.dir_retire(addr);
             }
             DirState::WaitAcks { .. } => {
-                if let DirState::WaitAcks { have_data, .. } = &mut entry.state {
+                if let DirState::WaitAcks { have_data, .. } = state {
                     *have_data = true;
                 }
                 self.dir_check_acks_done(addr);
@@ -961,13 +965,12 @@ impl MemorySystem {
     fn dir_check_acks_done(&mut self, addr: Addr) {
         let home = addr.home(&self.topo);
         #[expect(clippy::expect_used, reason = "transitions target a live entry")]
-        let entry = self.dir.get(&addr).expect("entry");
         if let DirState::WaitAcks {
             requester,
             needed,
             need_data,
             have_data,
-        } = entry.state
+        } = *self.dir.get(&addr).expect("entry")
         {
             if needed == 0 && (!need_data || have_data) {
                 let kind = if need_data {
@@ -986,13 +989,13 @@ impl MemorySystem {
         self.stats.dir_lookups += 1;
         self.stats.dir_updates += 1;
         #[expect(clippy::expect_used, reason = "evictions come from tracked caches")]
-        let entry = self.dir.get_mut(&addr).expect("evict for live entry");
+        let state = self.dir.get_mut(&addr).expect("evict for live entry");
         let mut recheck_acks = false;
-        match &mut entry.state {
+        match state {
             DirState::Shared(sharers) => {
                 sharers.remove(from);
                 if sharers.count() == 0 {
-                    entry.state = DirState::Uncached;
+                    *state = DirState::Uncached;
                 }
             }
             DirState::WaitMemShared { sharers, .. } => {
@@ -1021,9 +1024,9 @@ impl MemorySystem {
         self.stats.dir_lookups += 1;
         let home = addr.home(&self.topo);
         #[expect(clippy::expect_used, reason = "dirty evictions come from the M holder")]
-        let entry = self.dir.get_mut(&addr).expect("dirty evict for live entry");
+        let state = self.dir.get(&addr).expect("dirty evict for live entry");
         // audit: allow(alloc) k-pointer state copy; entry is mutated below
-        match entry.state.clone() {
+        match state.clone() {
             DirState::Modified(owner) => {
                 assert_eq!(owner, from);
                 self.set_dir(addr, DirState::Uncached);
@@ -1057,9 +1060,9 @@ impl MemorySystem {
         self.stats.dir_lookups += 1;
         let home = addr.home(&self.topo);
         #[expect(clippy::expect_used, reason = "writeback data answers a live WbReq")]
-        let entry = self.dir.get(&addr).expect("wb data for live entry");
+        let state = self.dir.get(&addr).expect("wb data for live entry");
         // audit: allow(alloc) k-pointer state copy; entry is mutated below
-        match entry.state.clone() {
+        match state.clone() {
             DirState::WaitWb { requester, owner } => {
                 self.mem_write(home, addr, now);
                 let mut sharers = SharerSet::one(owner);
@@ -1082,9 +1085,9 @@ impl MemorySystem {
         self.stats.dir_lookups += 1;
         let home = addr.home(&self.topo);
         #[expect(clippy::expect_used, reason = "flush data answers a live FlushReq")]
-        let entry = self.dir.get(&addr).expect("flush data for live entry");
+        let state = self.dir.get(&addr).expect("flush data for live entry");
         // audit: allow(alloc) k-pointer state copy; entry is mutated below
-        match entry.state.clone() {
+        match state.clone() {
             DirState::WaitFlush { requester, .. } => {
                 self.set_dir(addr, DirState::Modified(requester));
                 self.send_home(home, requester, CohKind::ExRep, addr, requester);
@@ -1104,13 +1107,14 @@ impl MemorySystem {
     fn dir_retire(&mut self, addr: Addr) {
         loop {
             #[expect(clippy::expect_used, reason = "transitions target a live entry")]
-            let entry = self.dir.get_mut(&addr).expect("entry");
-            if entry.state.is_transient() {
+            let state = self.dir.get(&addr).expect("entry");
+            if state.is_transient() {
                 break;
             }
-            let Some(req) = entry.waiting.pop_front() else {
+            let uncached = *state == DirState::Uncached;
+            let Some(req) = self.pop_waiter(addr) else {
                 // Garbage-collect fully idle entries.
-                if entry.state == DirState::Uncached && entry.waiting.is_empty() {
+                if uncached {
                     self.dir.remove(&addr);
                 }
                 break;
@@ -1119,12 +1123,23 @@ impl MemorySystem {
         }
     }
 
+    /// The oldest request queued behind `addr`, dropping the line's queue
+    /// once it empties.
+    fn pop_waiter(&mut self, addr: Addr) -> Option<WaitingReq> {
+        let queue = self.waiters.get_mut(&addr)?;
+        let req = queue.pop_front();
+        if queue.is_empty() {
+            self.waiters.remove(&addr);
+        }
+        req
+    }
+
     #[expect(clippy::expect_used, reason = "transitions target a live entry")]
     fn set_dir(&mut self, addr: Addr, state: DirState) {
         if let DirState::Modified(owner) = state {
             self.debug_check_exclusive_grant(addr, owner);
         }
-        self.dir.get_mut(&addr).expect("entry").state = state;
+        *self.dir.get_mut(&addr).expect("entry") = state;
     }
 
     /// Sanitizer: when the directory commits a line to `Modified(owner)`,
@@ -1242,6 +1257,9 @@ impl MemorySystem {
     ///    matches exactly one M copy at `o`; a stable `Shared` entry's
     ///    count equals the number of S copies (ACKwise; Dir_kB only upper-
     ///    bounds because of silent evictions).
+    /// 3. **Serialized requests**: a request waits at the directory only
+    ///    behind a transaction in flight on its line, and none waits at
+    ///    quiescence.
     ///
     /// Panics on violation.
     pub fn check_invariants(&self, quiescent: bool) {
@@ -1269,11 +1287,24 @@ impl MemorySystem {
                 "M and S copies coexist for {addr:?}"
             );
         }
+        for (addr, queue) in &self.waiters {
+            let state = self.dir.get(addr);
+            assert!(
+                !queue.is_empty() && state.is_some_and(DirState::is_transient),
+                "{} requests queued for {addr:?} in directory state {state:?}",
+                queue.len()
+            );
+        }
         if !quiescent {
             return;
         }
-        for (addr, entry) in &self.dir {
-            match &entry.state {
+        assert!(
+            self.waiters.is_empty(),
+            "requests still queued at quiescence: {:?}",
+            self.waiters
+        );
+        for (addr, state) in &self.dir {
+            match state {
                 DirState::Modified(owner) => {
                     assert_eq!(
                         m_holder.get(addr),
@@ -1310,5 +1341,11 @@ impl MemorySystem {
     /// L2 state of a line at a core (test helper).
     pub fn l2_state(&self, core: CoreId, addr: Addr) -> LineState {
         self.cores[core.idx()].l2.state(addr.line_base())
+    }
+
+    /// Requests now queued at the directory behind in-flight transactions
+    /// (test helper).
+    pub fn queued_requests(&self) -> usize {
+        self.waiters.values().map(VecDeque::len).sum()
     }
 }

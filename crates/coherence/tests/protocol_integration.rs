@@ -27,6 +27,8 @@ struct Driver {
     pc: Vec<usize>,
     blocked: Vec<bool>,
     now: Cycle,
+    /// Most directory requests seen queued at one invariant check.
+    peak_queued: usize,
 }
 
 impl Driver {
@@ -41,6 +43,7 @@ impl Driver {
             pc: vec![0; n],
             blocked: vec![false; n],
             now: 0,
+            peak_queued: 0,
         }
     }
 
@@ -82,6 +85,7 @@ impl Driver {
             // Single-writer invariant must hold at *every* cycle.
             if self.now.is_multiple_of(64) {
                 self.ms.check_invariants(false);
+                self.peak_queued = self.peak_queued.max(self.ms.queued_requests());
             }
             self.now += 1;
             let done = self
@@ -306,7 +310,7 @@ fn false_sharing_ping_pong() {
     assert_eq!(owners, 1);
 }
 
-fn stress(net: Box<dyn Network>, protocol: ProtocolKind, seed: u64, ops: usize) -> MemorySystem {
+fn stress(net: Box<dyn Network>, protocol: ProtocolKind, seed: u64, ops: usize) -> Driver {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -329,12 +333,13 @@ fn stress(net: Box<dyn Network>, protocol: ProtocolKind, seed: u64, ops: usize) 
         .collect();
     let mut d = Driver::new(net, protocol, scripts);
     d.run();
-    d.ms
+    d
 }
 
 #[test]
 fn stress_ackwise_on_atac_plus() {
-    let ms = stress(atac_net(), ackwise4(), 1234, 60);
+    let d = stress(atac_net(), ackwise4(), 1234, 60);
+    let ms = &d.ms;
     // broadcasts should have happened (60 % of traffic on 64 hot lines
     // with 64 cores overflows k=4 constantly)
     assert!(
@@ -342,25 +347,28 @@ fn stress_ackwise_on_atac_plus() {
         "stress must exercise broadcasts"
     );
     assert!(ms.stats.inv_unicasts > 0);
+    // ...and requests queued behind in-flight transactions while the
+    // invariant check that guards the queue was running.
+    assert!(d.peak_queued > 0, "no directory request ever queued");
 }
 
 #[test]
 fn stress_ackwise_on_emesh_bcast() {
     let net: Box<dyn Network> = Box::new(Mesh::new(topo(), MeshKind::BcastTree, 64, 4));
-    let ms = stress(net, ackwise4(), 99, 60);
+    let ms = stress(net, ackwise4(), 99, 60).ms;
     assert!(ms.stats.inv_broadcasts > 0);
 }
 
 #[test]
 fn stress_ackwise_on_emesh_pure() {
     let net: Box<dyn Network> = Box::new(Mesh::new(topo(), MeshKind::Pure, 64, 4));
-    let ms = stress(net, ackwise4(), 7, 40);
+    let ms = stress(net, ackwise4(), 7, 40).ms;
     assert!(ms.stats.inv_broadcasts > 0);
 }
 
 #[test]
 fn stress_dirkb_on_atac_plus() {
-    let ms = stress(atac_net(), ProtocolKind::DirB { k: 4 }, 31, 60);
+    let ms = stress(atac_net(), ProtocolKind::DirB { k: 4 }, 31, 60).ms;
     assert!(ms.stats.inv_broadcasts > 0);
     // Dir_kB never sends clean-eviction notifications.
     assert_eq!(ms.stats.evictions_clean, 0);
@@ -383,7 +391,7 @@ fn dirkb_capacity_evictions_are_silent() {
 #[test]
 fn stress_full_map_never_broadcasts() {
     // k = cores: ACKwise behaves as full-map (paper §V-F endpoint).
-    let ms = stress(atac_net(), ProtocolKind::AckWise { k: 64 }, 5, 50);
+    let ms = stress(atac_net(), ProtocolKind::AckWise { k: 64 }, 5, 50).ms;
     assert_eq!(ms.stats.inv_broadcasts, 0);
     assert!(ms.stats.inv_unicasts > 0);
 }
@@ -403,7 +411,7 @@ fn stress_exercises_sequence_machinery() {
             RoutingPolicy::Distance(5),
             ReceiveNet::StarNet,
         ));
-        let ms = stress(net, ackwise4(), 4000 + seed, 50);
+        let ms = stress(net, ackwise4(), 4000 + seed, 50).ms;
         buffered += ms.stats.seq_buffered_unicasts
             + ms.stats.seq_buffered_broadcasts
             + ms.stats.seq_dropped_broadcasts;
@@ -417,7 +425,7 @@ fn stress_exercises_sequence_machinery() {
 #[test]
 fn determinism_across_runs() {
     let run = || {
-        let ms = stress(atac_net(), ackwise4(), 42, 40);
+        let ms = stress(atac_net(), ackwise4(), 42, 40).ms;
         (
             ms.stats.inv_broadcasts,
             ms.stats.inv_unicasts,

@@ -236,7 +236,7 @@ pub fn run_observed(
             heap.pop();
             let ci = c as usize;
             debug_assert_eq!(cores[ci].state, CoreState::Scheduled);
-            match workload.scripts[ci].get(cores[ci].pc).copied() {
+            match workload.scripts[ci].get(cores[ci].pc) {
                 None => {
                     cores[ci].state = CoreState::Done;
                     running -= 1;

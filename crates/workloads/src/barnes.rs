@@ -20,7 +20,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{BuiltWorkload, Layout, Op, Scale};
+use crate::common::{BuiltWorkload, Layout, Op, Scale, Script};
 
 const TREE: u64 = 0x300_0000;
 
@@ -54,7 +54,7 @@ pub fn build(cores: usize, scale: Scale, kind: NBody, seed: u64) -> BuiltWorkloa
         })
         .collect();
 
-    let mut scripts: Vec<Vec<Op>> = vec![Vec::new(); cores];
+    let mut scripts = vec![Script::default(); cores];
     for _iter in 0..iterations {
         // Phase 1: tree build — every core inserts its bodies along a
         // root-to-leaf path. As in the real program, bodies are spatially

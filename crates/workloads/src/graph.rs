@@ -17,7 +17,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{BuiltWorkload, Layout, Op, Scale};
+use crate::common::{BuiltWorkload, Layout, Op, Scale, Script};
 
 const LABELS: u64 = 0x400_0000;
 const EDGES: u64 = 0x500_0000;
@@ -31,7 +31,7 @@ pub fn build(cores: usize, scale: Scale, seed: u64) -> BuiltWorkload {
     let verts_per_step = 4 * scale.factor();
     let degree = 4;
 
-    let mut scripts: Vec<Vec<Op>> = vec![Vec::new(); cores];
+    let mut scripts = vec![Script::default(); cores];
     for _step in 0..steps {
         for (c, script) in scripts.iter_mut().enumerate() {
             for _ in 0..verts_per_step {

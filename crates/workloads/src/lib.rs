@@ -32,7 +32,7 @@ pub mod lu;
 pub mod ocean;
 pub mod radix;
 
-pub use common::{BuiltWorkload, Layout, Op, Scale};
+pub use common::{BuiltWorkload, Layout, Op, Scale, Script};
 
 /// Identifier for one of the eight evaluated applications, in the
 /// paper's figure order.

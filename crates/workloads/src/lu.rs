@@ -19,7 +19,7 @@
 //! row-major across the matrix so block rows straddle cache lines shared
 //! between neighbouring owners (false sharing → more traffic).
 
-use crate::common::{BuiltWorkload, Layout, Op, Scale};
+use crate::common::{BuiltWorkload, Layout, Op, Scale, Script};
 
 const MATRIX: u64 = 0x200_0000;
 /// Global pivot/iteration descriptor: written by the diagonal owner each
@@ -64,7 +64,7 @@ pub fn build(cores: usize, scale: Scale, layout: LuLayout) -> BuiltWorkload {
         }
     };
 
-    let mut scripts: Vec<Vec<Op>> = vec![Vec::new(); cores];
+    let mut scripts = vec![Script::default(); cores];
     for k in 0..nb {
         // 1: diagonal factorization by its owner, which then publishes
         // the pivot descriptor every core reads below.

@@ -19,7 +19,7 @@
 //!   neighbours (false sharing) — more misses, higher network load
 //!   (Table V: 29 % vs 20 % utilization).
 
-use crate::common::{BuiltWorkload, Layout, Op, Scale};
+use crate::common::{BuiltWorkload, Layout, Op, Scale, Script};
 
 /// Shared-segment offsets.
 const GRID: u64 = 0x100_0000;
@@ -59,7 +59,7 @@ pub fn build(cores: usize, scale: Scale, layout: OceanLayout) -> BuiltWorkload {
         }
     };
 
-    let mut scripts: Vec<Vec<Op>> = vec![Vec::new(); cores];
+    let mut scripts = vec![Script::default(); cores];
     for iter in 0..iterations {
         for (c, script) in scripts.iter_mut().enumerate() {
             let (bx, by) = (c % side, c / side);

@@ -20,7 +20,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{BuiltWorkload, Layout, Op, Scale};
+use crate::common::{BuiltWorkload, Layout, Op, Scale, Script};
 
 /// Radix buckets per pass (the real benchmark's default radix is 1024;
 /// scaled down with problem size).
@@ -57,7 +57,7 @@ pub fn build(cores: usize, scale: Scale, seed: u64) -> BuiltWorkload {
         }
     };
 
-    let mut scripts: Vec<Vec<Op>> = vec![Vec::new(); cores];
+    let mut scripts = vec![Script::default(); cores];
     let buckets_per_core = (BUCKETS as usize).div_ceil(cores).max(1);
 
     for pass in 0..passes {
