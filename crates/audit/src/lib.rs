@@ -846,7 +846,6 @@ mod tests {
             writer_names(&models, "crates/bench/"),
             [
                 ("crates/bench/src/cache.rs", "publish_atomic"),
-                ("crates/bench/src/executor.rs", "write_flight"),
                 ("crates/bench/src/executor.rs", "write"),
             ],
             "atac-bench writes artifacts only through its sanctioned writers"
@@ -1062,10 +1061,9 @@ mod determinism {
             "crates/audit/src/",
         ];
 
-        /// Host-side observability surfaces (wall-clock phase laps and the
-        /// flight journal's host-time fields), deliberately in a host crate.
-        const HOST_OBSERVABILITY: &[&str] =
-            &["crates/trace/src/profile.rs", "crates/trace/src/flight.rs"];
+        /// Host-side observability surfaces (wall-clock phase laps),
+        /// deliberately in a host crate.
+        const HOST_OBSERVABILITY: &[&str] = &["crates/trace/src/profile.rs"];
 
         /// The type names `clippy.toml`'s `disallowed-types` lists.
         const AMBIENT_TYPES: &[&str] =

@@ -81,15 +81,6 @@ const PAIRS: &[SchemaPair] = &[
         )],
     },
     SchemaPair {
-        label: "flight journal",
-        emit_file: "crates/trace/src/flight.rs",
-        emit_fns: &["to_jsonl", "event_json"],
-        vocab: &[(
-            "crates/trace/src/flight.rs",
-            &["parse_flight", "parse_event"],
-        )],
-    },
-    SchemaPair {
         label: "history line",
         emit_file: "crates/report/src/history.rs",
         emit_fns: &["encode_line", "profile_json"],

@@ -20,15 +20,9 @@
 //! Environment knobs: `ATAC_JOBS=<n>` (default: available parallelism),
 //! `ATAC_CORES=64|256|1024` (default 1024),
 //! `ATAC_BENCHES=radix,barnes,...` (default all eight),
-//! `ATAC_VERIFY=1` to re-simulate one key serially into a scratch cache
-//! and fail if its bytes differ from the parallel sweep's record (the
-//! determinism contract, checked end to end in CI), and `ATAC_FLIGHT=1`
-//! to journal the warm phase's executor telemetry (worker spans, cache
-//! outcomes, queue depth, RSS) to `BENCH_flight.jsonl` — override the
-//! path with `--flight-out <path>` (which also implies `ATAC_FLIGHT=1`).
-//! The warm phase also schedules missing keys longest-expected-first
-//! from committed history and, on a TTY, renders a live progress line
-//! with an ETA (`ATAC_PROGRESS` forces it on/off).
+//! and `ATAC_VERIFY=1` to re-simulate one key serially into a scratch
+//! cache and fail if its bytes differ from the parallel sweep's record
+//! (the determinism contract, checked end to end in CI).
 
 // Host crate: wall clocks and hash maps measure and schedule the host,
 // never a simulated result, so clippy.toml's determinism types are fine.
@@ -38,16 +32,10 @@ use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
-use atac_bench::{executor, plans, run_key, runjson, ExecOptions, RunCache, SweepLog};
+use atac_bench::{plans, run_key, runjson, RunCache, SweepLog};
 
 #[expect(clippy::disallowed_methods, reason = "reads the ATAC_VERIFY knob")]
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flight_out = args.iter().position(|a| a == "--flight-out").map(|i| {
-        args.get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| panic!("--flight-out needs a path argument"))
-    });
     let jobs = atac_bench::jobs_from_env();
     let mut log = SweepLog::new(jobs);
     let t_total = Instant::now();
@@ -59,23 +47,9 @@ fn main() {
         plan.len()
     );
     let t = Instant::now();
-    let mut opts = ExecOptions::from_env();
-    if flight_out.is_some() {
-        opts.flight = true;
-    }
-    let report = plan.execute_with(&RunCache::from_env(), jobs, &opts);
+    let report = plan.execute_on(&RunCache::from_env(), jobs);
     log.phase("warm", t.elapsed().as_secs_f64());
     log.absorb(&report);
-    if let Some(journal) = &report.flight {
-        let path = flight_out.unwrap_or_else(|| "BENCH_flight.jsonl".to_string());
-        executor::write_flight(journal, Path::new(&path))
-            .unwrap_or_else(|e| panic!("cannot write flight journal {path}: {e}"));
-        eprintln!(
-            "[reproduce] wrote {path} ({} events, {} runs)",
-            journal.events.len(),
-            journal.runs
-        );
-    }
 
     // Phase 2: render every figure in paper order from the warm cache.
     let bins = [

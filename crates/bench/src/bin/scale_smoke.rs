@@ -24,7 +24,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use atac_bench::{plans, run_key, ExecOptions, RunCache, SweepLog};
+use atac_bench::{plans, run_key, RunCache, SweepLog};
 
 #[expect(clippy::disallowed_methods, reason = "reads the scale smoke's knobs")]
 fn main() {
@@ -50,9 +50,8 @@ fn main() {
     let t_total = Instant::now();
     let mut log = SweepLog::new(jobs);
     let scratch = RunCache::at(format!("target/atac-scale-{}", std::process::id()));
-    let opts = ExecOptions::from_env();
     let t = Instant::now();
-    let report = plan.execute_with(&scratch, jobs, &opts);
+    let report = plan.execute_on(&scratch, jobs);
     log.phase("scale", t.elapsed().as_secs_f64());
     log.absorb(&report);
     let _ = std::fs::remove_dir_all(scratch.dir());

@@ -32,7 +32,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use atac::prelude::*;
-use atac::trace::flight::{CacheOutcome, FlightHandle, SpanKind};
 use atac::trace::{HostPhase, HostProfile, HostProfiler, NetObsHandle, NetProfile, TraceCollector};
 use atac::workloads::BuiltWorkload;
 
@@ -74,17 +73,6 @@ pub fn netprof_sample_log2() -> u32 {
         .and_then(|v| v.parse().ok())
         .unwrap_or(6)
         .min(16)
-}
-
-/// Whether the sweep records a flight journal (`ATAC_FLIGHT`, default
-/// **off**; set `ATAC_FLIGHT=1` to enable). The journal captures the
-/// *executor's* behavior — worker lifecycle spans, cache outcomes,
-/// queue depth, RSS — against the host clock only; like the profiler
-/// and network microscope, it never enters the published run record,
-/// so a recorded sweep is byte-identical to an unrecorded one.
-#[expect(clippy::disallowed_methods, reason = "reads the ATAC_FLIGHT knob")]
-pub fn flight_enabled() -> bool {
-    matches!(std::env::var("ATAC_FLIGHT").as_deref(), Ok(v) if v != "0")
 }
 
 /// How a requested run record was obtained.
@@ -185,36 +173,9 @@ impl RunCache {
         Option<HostProfile>,
         Option<NetProfile>,
     ) {
-        self.get_or_run_observed(cfg, bench, workload, &FlightHandle::disabled(), 0)
-    }
-
-    /// [`Self::get_or_run_profiled`] with the sweep flight recorder
-    /// attached: emits this call's lifecycle spans (`claim` — cache
-    /// probe, single-flight race, or condvar wait — then `simulate` and
-    /// `publish` on the leader path) under worker index `worker`, plus
-    /// exactly one cache-outcome event (`hit`/`miss`/`wait`, with the
-    /// `torn` flag when a miss recovered a truncated record). With a
-    /// disabled handle this is [`Self::get_or_run_profiled`]: one
-    /// branch per would-be event, nothing recorded.
-    pub fn get_or_run_observed(
-        &self,
-        cfg: &SimConfig,
-        bench: Benchmark,
-        workload: Option<&BuiltWorkload>,
-        flight: &FlightHandle,
-        worker: u64,
-    ) -> (
-        RunRecord,
-        RunSource,
-        Option<HostProfile>,
-        Option<NetProfile>,
-    ) {
         let key = run_key(cfg, bench);
         let path = self.record_path(&key);
-        let t_enter = flight.now();
         if let Some(rec) = load_path(&path) {
-            flight.span(worker, SpanKind::Claim, Some(&key), t_enter, flight.now());
-            flight.cache(&key, CacheOutcome::Hit, false);
             return (rec, RunSource::CacheHit, None, None);
         }
 
@@ -245,11 +206,7 @@ impl RunCache {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
             return match &*state {
-                FlightState::Done(rec) => {
-                    flight.span(worker, SpanKind::Claim, Some(&key), t_enter, flight.now());
-                    flight.cache(&key, CacheOutcome::Wait, false);
-                    ((**rec).clone(), RunSource::Joined, None, None)
-                }
+                FlightState::Done(rec) => ((**rec).clone(), RunSource::Joined, None, None),
                 FlightState::Failed => panic!("concurrent simulation of `{key}` failed"),
                 FlightState::Pending => unreachable!("condvar loop exits only when settled"),
             };
@@ -265,20 +222,11 @@ impl RunCache {
             settled: false,
         };
         // Re-check under flight ownership: another *process* may have
-        // published while this one raced to the table.
-        let (rec, source, profile, netprof) = match probe_path(&path) {
-            RecordProbe::Ready(rec) => {
-                flight.span(worker, SpanKind::Claim, Some(&key), t_enter, flight.now());
-                flight.cache(&key, CacheOutcome::Hit, false);
-                (*rec, RunSource::CacheHit, None, None)
-            }
-            probe => {
-                // A torn probe (file present, record undecodable —
-                // truncated write or stale schema) recovers by
-                // re-simulating; the journal keeps the recovery visible.
-                let torn = matches!(probe, RecordProbe::Torn);
-                let t_sim = flight.now();
-                flight.span(worker, SpanKind::Claim, Some(&key), t_enter, t_sim);
+        // published while this one raced to the table. An absent or torn
+        // record (truncated write, stale schema) is simply re-simulated.
+        let (rec, source, profile, netprof) = match load_path(&path) {
+            Some(rec) => (rec, RunSource::CacheHit, None, None),
+            None => {
                 let prof = if profiling_enabled() {
                     HostProfiler::enabled_with_netprof(netprof_enabled())
                         .with_net_sampling(netprof_sample_log2())
@@ -286,13 +234,9 @@ impl RunCache {
                     HostProfiler::disabled()
                 };
                 let (rec, netprof) = simulate(cfg, bench, workload, &key, &prof);
-                let t_pub = flight.now();
-                flight.span(worker, SpanKind::Simulate, Some(&key), t_sim, t_pub);
                 publish_atomic(&path, &runjson::encode(&rec))
                     .unwrap_or_else(|e| panic!("cannot publish run cache {}: {e}", path.display()));
                 prof.lap(HostPhase::Export);
-                flight.span(worker, SpanKind::Publish, Some(&key), t_pub, flight.now());
-                flight.cache(&key, CacheOutcome::Miss, torn);
                 (rec, RunSource::Simulated, prof.finish(), netprof)
             }
         };
@@ -321,31 +265,10 @@ pub fn publish_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// What a cache-file probe found. Distinguishing *absent* from *torn*
-/// (file reads but the record does not decode — truncated write from a
-/// crashed process, or a stale schema) exists purely for the flight
-/// journal: both recover identically by re-simulating.
-enum RecordProbe {
-    Absent,
-    Torn,
-    Ready(Box<RunRecord>),
-}
-
-fn probe_path(path: &Path) -> RecordProbe {
-    match fs::read_to_string(path) {
-        Err(_) => RecordProbe::Absent,
-        Ok(text) => match runjson::decode(&text) {
-            Some(rec) => RecordProbe::Ready(Box::new(rec)),
-            None => RecordProbe::Torn,
-        },
-    }
-}
-
+/// Decode the record at `path`; `None` when the file is absent or does
+/// not decode (a truncated write or a stale schema).
 fn load_path(path: &Path) -> Option<RunRecord> {
-    match probe_path(path) {
-        RecordProbe::Ready(rec) => Some(*rec),
-        RecordProbe::Absent | RecordProbe::Torn => None,
-    }
+    runjson::decode(&fs::read_to_string(path).ok()?)
 }
 
 /// Simulate one run, observing per-class latency histograms through a

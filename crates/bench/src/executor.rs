@@ -15,39 +15,28 @@
 //! `BuiltWorkload` are `Send + Sync` — statically asserted in
 //! `atac-sim`). Runs themselves stay single-threaded and deterministic,
 //! so a parallel sweep publishes byte-identical records to a serial one;
-//! a worker panic propagates out of `execute` once the pool joins
-//! (`std::thread::scope` re-raises it) rather than being swallowed.
+//! a worker panic propagates out of `execute` with its original payload
+//! once the pool joins, rather than being swallowed.
 //!
-//! Timing of every phase and run key can be recorded to
-//! `BENCH_sweep.json` via [`SweepLog`], giving later changes a
-//! wall-clock trajectory to regress against.
-//!
-//! [`RunPlan::execute_with`] layers the sweep's own observability on
-//! top ([`ExecOptions`]): the flight recorder (`ATAC_FLIGHT`, see
-//! [`atac::trace::flight`]) journals worker lifecycle spans, cache
-//! outcomes, queue depth, and RSS samples; a cost model learned from
-//! `BENCH_history.jsonl` ([`CostModel`]) schedules missing keys
-//! longest-expected-first and feeds the live progress line's ETA
-//! (`ATAC_PROGRESS`, default: on when stderr is a TTY). All of it
-//! observes the host only — scheduling order and journals never reach
-//! the published records, which stay sorted by run key.
+//! Missing keys run in the plan's declared order, claimed one at a time
+//! from a shared counter. Timing of every phase and run key can be
+//! recorded to `BENCH_sweep.json` via [`SweepLog`], together with the
+//! executor's own self-metrics ([`ExecutorStats`]: how the cache settled
+//! each key, and the process's peak RSS), giving later changes a
+//! wall-clock trajectory to regress against. None of it reaches the
+//! published records.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::IsTerminal;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
 use atac::prelude::*;
-use atac::trace::flight::{
-    current_rss_bytes, CacheOutcome, FlightHandle, FlightLog, FlightRecorder, SpanKind,
-};
 use atac::trace::{HostPhase, HostProfile, NetProfile};
 use atac::workloads::BuiltWorkload;
 
-use crate::cache::{flight_enabled, RunCache, RunSource};
-use crate::costs::CostModel;
+use crate::cache::{RunCache, RunSource};
 use crate::{run_key, RunSummary};
 
 /// Worker count for sweeps: `ATAC_JOBS` if set, else the machine's
@@ -63,46 +52,6 @@ pub fn jobs_from_env() -> usize {
 
 fn parse_jobs(v: &str) -> Option<usize> {
     v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
-/// Whether the live progress line renders (`ATAC_PROGRESS`; default:
-/// only when stderr is a terminal, so CI logs stay clean. Set `1` to
-/// force it on, `0` to force it off).
-#[expect(clippy::disallowed_methods, reason = "reads the ATAC_PROGRESS knob")]
-fn progress_enabled() -> bool {
-    match std::env::var("ATAC_PROGRESS").as_deref() {
-        Ok("0") => false,
-        Ok(_) => true,
-        Err(_) => std::io::stderr().is_terminal(),
-    }
-}
-
-/// Observability and scheduling options for one executor pass. The
-/// default is the fully quiet executor every existing caller and test
-/// gets from [`RunPlan::execute_on`]: no journal, declared order, no
-/// progress line.
-#[derive(Debug, Default)]
-pub struct ExecOptions {
-    /// Record a flight journal ([`SweepReport::flight`]).
-    pub flight: bool,
-    /// Expected per-key host seconds for longest-expected-first
-    /// scheduling and the progress ETA; empty model = declared order.
-    pub costs: CostModel,
-    /// Render the live progress line on stderr.
-    pub progress: bool,
-}
-
-impl ExecOptions {
-    /// Options from the environment: `ATAC_FLIGHT` (default off),
-    /// `ATAC_HISTORY` (default `BENCH_history.jsonl`), `ATAC_PROGRESS`
-    /// (default: stderr-is-a-TTY).
-    pub fn from_env() -> Self {
-        ExecOptions {
-            flight: flight_enabled(),
-            costs: CostModel::from_env(),
-            progress: progress_enabled(),
-        }
-    }
 }
 
 /// A declared set of runs: `(timing configuration, benchmark)` pairs,
@@ -149,73 +98,23 @@ impl RunPlan {
         &self.entries
     }
 
-    /// Execute against the default cache with `ATAC_JOBS` workers and
-    /// the environment's observability options ([`ExecOptions::from_env`]).
+    /// Execute against the default cache with `ATAC_JOBS` workers.
     pub fn execute(&self) -> SweepReport {
-        self.execute_with(
-            &RunCache::from_env(),
-            jobs_from_env(),
-            &ExecOptions::from_env(),
-        )
+        self.execute_on(&RunCache::from_env(), jobs_from_env())
     }
 
     /// Execute every planned run against `cache` with a pool of `jobs`
-    /// worker threads, simulating only the keys the cache is missing.
-    /// Returns per-run timings; panics if any run panics. Quiet
-    /// executor: no journal, declared order, no progress line.
+    /// worker threads, simulating only the keys the cache is missing, in
+    /// declared order. Records are published per key and the report is
+    /// sorted by key. Panics if any run panics.
     pub fn execute_on(&self, cache: &RunCache, jobs: usize) -> SweepReport {
-        self.execute_with(cache, jobs, &ExecOptions::default())
-    }
-
-    /// [`Self::execute_on`] with explicit observability and scheduling
-    /// options. Missing keys run longest-expected-first when `opts`
-    /// carries a cost model (unknown-cost keys run first — an unknown
-    /// is potentially long, the safe bet for makespan); records are
-    /// published per key and the report stays sorted by key, so the
-    /// schedule never changes any output byte.
-    pub fn execute_with(&self, cache: &RunCache, jobs: usize, opts: &ExecOptions) -> SweepReport {
         let t0 = Instant::now();
-        let recorder = opts
-            .flight
-            .then(|| FlightRecorder::new(jobs.max(1) as u64, self.entries.len() as u64));
-        let flight = recorder.as_ref().map_or_else(FlightHandle::disabled, |r| {
-            FlightHandle::attach(Arc::clone(r))
-        });
         let peak_rss = AtomicU64::new(current_rss_bytes().unwrap_or(0));
-
-        let mut missing: Vec<&(SimConfig, Benchmark)> = Vec::new();
-        let mut cached_hits = 0usize;
-        for entry in &self.entries {
-            let key = run_key(&entry.0, entry.1);
-            if cache.load(&key).is_some() {
-                cached_hits += 1;
-                flight.cache(&key, CacheOutcome::Hit, false);
-            } else {
-                missing.push(entry);
-            }
-        }
-        let n = missing.len();
-
-        // Cost-aware schedule (longest processing time first). The
-        // journal records every placement so the flight report can
-        // replay declared vs scheduled order and quantify the makespan
-        // difference.
-        let expected: Vec<Option<f64>> = missing
+        let missing: Vec<&(SimConfig, Benchmark)> = self
+            .entries
             .iter()
-            .map(|(cfg, bench)| opts.costs.expected_secs(&run_key(cfg, *bench)))
+            .filter(|(cfg, bench)| cache.load(&run_key(cfg, *bench)).is_none())
             .collect();
-        let order = schedule_order(&expected);
-        if flight.enabled() {
-            for (sched, &decl) in order.iter().enumerate() {
-                let (cfg, bench) = missing[decl];
-                flight.sched(
-                    &run_key(cfg, *bench),
-                    decl as u64,
-                    sched as u64,
-                    expected[decl],
-                );
-            }
-        }
 
         // One immutable build per (benchmark, core-count), shared by
         // reference across the pool instead of rebuilt per run.
@@ -226,43 +125,13 @@ impl RunPlan {
                 .or_insert_with(|| bench.build(cfg.topo.cores(), Scale::Paper));
         }
 
-        // Progress / ETA bookkeeping, all claim-counter-shaped atomics:
-        // expected micros of *unfinished* known-cost keys, a count of
-        // unfinished unknown-cost keys, and completion counters. No
-        // float accumulation — the only reduction is an integer sum.
-        let workers = jobs.clamp(1, n.max(1));
-        let expected_us: Vec<u64> = expected
-            .iter()
-            .map(|e| e.map_or(0, |s| (s * 1e6) as u64))
-            .collect();
-        let known_count = expected_us.iter().filter(|&&u| u > 0).count();
-        let known_total_us: u64 = expected_us.iter().sum();
-        let remaining_known_us = AtomicU64::new(known_total_us);
-        let unknown_remaining = AtomicUsize::new(n - known_count);
-        let done = AtomicUsize::new(0);
-        let busy = AtomicUsize::new(0);
-        // Per-worker "idle since" stamps (f64 bits) — each slot is only
-        // written by its own worker and read back after the pool joins.
-        let free_since: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-
-        let timings: Mutex<Vec<RunTiming>> = Mutex::new(Vec::with_capacity(n));
-        let planned = self.entries.len();
-        let body = |w: usize, slot: usize| {
-            let i = order[slot];
-            busy.fetch_add(1, Ordering::Relaxed);
-            flight.queue((n - slot - 1) as u64, busy.load(Ordering::Relaxed) as u64);
-            if flight.enabled() {
-                let since = f64::from_bits(free_since[w].load(Ordering::Relaxed));
-                let t = flight.now();
-                if t > since {
-                    flight.span(w as u64, SpanKind::Idle, None, since, t);
-                }
-            }
+        let timings: Mutex<Vec<RunTiming>> = Mutex::new(Vec::with_capacity(missing.len()));
+        run_pool_workers(jobs, missing.len(), |i| {
             let (cfg, bench) = missing[i];
             let workload = &workloads[&(bench.name(), cfg.topo.cores())];
             let start = Instant::now();
             let (_, source, profile, netprof) =
-                cache.get_or_run_observed(cfg, *bench, Some(workload), &flight, w as u64);
+                cache.get_or_run_profiled(cfg, *bench, Some(workload));
             timings
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -273,69 +142,10 @@ impl RunPlan {
                     profile,
                     netprof,
                 });
-            free_since[w].store(flight.now().to_bits(), Ordering::Relaxed);
             if let Some(bytes) = current_rss_bytes() {
                 peak_rss.fetch_max(bytes, Ordering::Relaxed);
             }
-            flight.sample_rss();
-            if expected_us[i] > 0 {
-                remaining_known_us.fetch_sub(expected_us[i], Ordering::Relaxed);
-            } else {
-                unknown_remaining.fetch_sub(1, Ordering::Relaxed);
-            }
-            busy.fetch_sub(1, Ordering::Relaxed);
-            done.fetch_add(1, Ordering::Relaxed);
-        };
-        let progress_line = || {
-            let d = done.load(Ordering::Relaxed);
-            let per_unknown = if n == known_count {
-                Some(0.0)
-            } else if known_count > 0 {
-                Some(known_total_us as f64 / 1e6 / known_count as f64)
-            } else if d > 0 {
-                Some(t0.elapsed().as_secs_f64() / d as f64)
-            } else {
-                None
-            };
-            let eta = eta_secs(
-                remaining_known_us.load(Ordering::Relaxed) as f64 / 1e6,
-                unknown_remaining.load(Ordering::Relaxed),
-                per_unknown,
-                workers,
-            );
-            let hit_pct = 100.0 * cached_hits as f64 / planned.max(1) as f64;
-            eprint!(
-                "\r[sweep] {}/{planned} keys \u{b7} {} busy \u{b7} {hit_pct:.0}% cache-hit \
-                 \u{b7} ETA {}   ",
-                cached_hits + d,
-                busy.load(Ordering::Relaxed),
-                fmt_eta(eta)
-            );
-        };
-        let monitor: Option<&(dyn Fn() + Sync)> = if opts.progress && n > 0 {
-            Some(&progress_line)
-        } else {
-            None
-        };
-        run_pool_workers(jobs, n, body, monitor);
-        if opts.progress && n > 0 {
-            eprint!("\r{:76}\r", "");
-        }
-
-        if flight.enabled() {
-            // Tail idle spans: each worker from its last completion (or
-            // recorder start, if it never claimed a run) to pool exit.
-            let t_end = flight.now();
-            for (w, since) in free_since.iter().enumerate() {
-                flight.span(
-                    w as u64,
-                    SpanKind::Idle,
-                    None,
-                    f64::from_bits(since.load(Ordering::Relaxed)),
-                    t_end,
-                );
-            }
-        }
+        });
         if let Some(bytes) = current_rss_bytes() {
             peak_rss.fetch_max(bytes, Ordering::Relaxed);
         }
@@ -344,10 +154,6 @@ impl RunPlan {
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         runs.sort_by(|a, b| a.key.cmp(&b.key));
-        let simulated = runs
-            .iter()
-            .filter(|r| r.source == RunSource::Simulated)
-            .count();
         // Summarize every planned record (they are all published by
         // now) into the figure-level metrics the run-history registry
         // and regression gate consume.
@@ -362,13 +168,12 @@ impl RunPlan {
         summaries.sort_by(|a, b| a.key.cmp(&b.key));
         let report = SweepReport {
             jobs,
-            planned,
-            cached_hits,
+            planned: self.entries.len(),
+            cached_hits: self.entries.len() - missing.len(),
             wall_secs: t0.elapsed().as_secs_f64(),
             runs,
             summaries,
             peak_rss_bytes: peak_rss.into_inner(),
-            flight: flight.finish(simulated as u64),
         };
         if !self.is_empty() {
             eprintln!(
@@ -385,119 +190,44 @@ impl RunPlan {
     }
 }
 
-/// Longest-expected-first execution order over per-key costs: known
-/// costs descending, unknown costs (`None`) ahead of everything —
-/// an unscheduled unknown landing on a lone worker late is the worst
-/// makespan outcome — and ties in declared order (the sort is a total
-/// order, so the schedule is deterministic for a given history).
-fn schedule_order(expected: &[Option<f64>]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..expected.len()).collect();
-    order.sort_by(|&a, &b| {
-        let ca = expected[a].unwrap_or(f64::INFINITY);
-        let cb = expected[b].unwrap_or(f64::INFINITY);
-        cb.total_cmp(&ca).then(a.cmp(&b))
-    });
-    order
+/// Current resident-set size in bytes, from `/proc/self/statm` (field 2,
+/// resident pages, assumed 4 KiB). `None` off Linux or when procfs is
+/// unreadable; a larger-page host merely under-reports, and nothing
+/// result-bearing reads it.
+fn current_rss_bytes() -> Option<u64> {
+    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
+    let resident_pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
+    Some(resident_pages * 4096)
 }
 
-/// Progress-line ETA: expected seconds of unfinished work spread over
-/// the pool. `per_unknown` prices each unfinished unknown-cost key
-/// (mean of the known expectations, or the observed per-run rate when
-/// the model is empty); `None` when there is nothing to price with.
-fn eta_secs(
-    remaining_known: f64,
-    unknown_remaining: usize,
-    per_unknown: Option<f64>,
-    workers: usize,
-) -> Option<f64> {
-    let per = match per_unknown {
-        Some(p) => p,
-        None if unknown_remaining == 0 => 0.0,
-        None => return None,
-    };
-    Some((remaining_known + unknown_remaining as f64 * per) / workers.max(1) as f64)
-}
-
-/// Render an ETA for the progress line.
-fn fmt_eta(eta: Option<f64>) -> String {
-    match eta {
-        None => "--".to_string(),
-        Some(s) => {
-            let s = s.max(0.0).ceil() as u64;
-            if s >= 90 {
-                format!("{}m{:02}s", s / 60, s % 60)
-            } else {
-                format!("{s}s")
-            }
-        }
-    }
-}
-
-/// Write a finished flight journal to `path` as JSONL. Lives here
-/// because the bench crate's file-write surface is `executor.rs` and
-/// `cache.rs` (audit rule 6).
-#[expect(clippy::disallowed_methods, reason = "the flight-journal writer")]
-pub fn write_flight(log: &FlightLog, path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, log.to_jsonl())
-}
-
-/// Run `f(0, 0)..f(w, n-1)` on a fixed pool of `jobs` scoped worker
-/// threads: `f(w, slot)` gets the claiming worker's pool index and the
-/// claim sequence number. Workers claim slots from a shared atomic
-/// counter, so long runs naturally load-balance. `monitor` (when
-/// present) runs on its own scoped thread every ~200 ms until the
-/// workers finish, then once more for the final state — the live
-/// progress line. Workers are joined explicitly (rather than letting
-/// the scope do it) so the monitor can be stopped as soon as the last
-/// worker exits; a worker panic is re-raised after the monitor winds
-/// down: a failing run aborts the sweep loudly, never silently.
-fn run_pool_workers(
-    jobs: usize,
-    n: usize,
-    f: impl Fn(usize, usize) + Sync,
-    monitor: Option<&(dyn Fn() + Sync)>,
-) {
+/// Run `f(0)..f(n-1)` on a fixed pool of `jobs` scoped worker threads.
+/// Workers claim indices from a shared atomic counter, so long runs
+/// naturally load-balance. A worker panic is re-raised with its original
+/// payload once the other workers finish: a failing run aborts the
+/// sweep loudly, never silently.
+fn run_pool_workers(jobs: usize, n: usize, f: impl Fn(usize) + Sync) {
     if n == 0 {
         return;
     }
     let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
-        let f = &f;
-        let next = &next;
+        let (f, next) = (&f, &next);
         let handles: Vec<_> = (0..jobs.clamp(1, n))
-            .map(|w| {
+            .map(|_| {
                 s.spawn(move || loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    if slot >= n {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
                         break;
                     }
-                    f(w, slot);
+                    f(i);
                 })
             })
             .collect();
-        let monitor_thread = monitor.map(|tick| {
-            let stop = &stop;
-            s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    tick();
-                    std::thread::sleep(Duration::from_millis(200));
-                }
-                tick();
-            })
-        });
-        let mut panicked = None;
         for h in handles {
-            if let Err(p) = h.join() {
-                panicked.get_or_insert(p);
+            if let Err(payload) = h.join() {
+                // The scope still joins the remaining workers first.
+                std::panic::resume_unwind(payload);
             }
-        }
-        stop.store(true, Ordering::Relaxed);
-        if let Some(m) = monitor_thread {
-            let _ = m.join();
-        }
-        if let Some(p) = panicked {
-            std::panic::resume_unwind(p);
         }
     });
 }
@@ -540,10 +270,6 @@ pub struct SweepReport {
     /// High-water resident-set bytes over the pass (sampled at start,
     /// after every run, and at pool exit; 0 where procfs is absent).
     pub peak_rss_bytes: u64,
-    /// The flight journal, when the pass ran with
-    /// [`ExecOptions::flight`] — already closed, ready to write via
-    /// [`write_flight`].
-    pub flight: Option<FlightLog>,
 }
 
 impl SweepReport {
@@ -570,16 +296,19 @@ impl SweepReport {
 
     /// All runs' host self-profiles merged, if any run carried one.
     pub fn merged_profile(&self) -> Option<HostProfile> {
-        let mut merged = HostProfile::zero();
-        let mut any = false;
-        for run in &self.runs {
-            if let Some(p) = &run.profile {
-                merged.merge(p);
-                any = true;
-            }
-        }
-        any.then_some(merged)
+        merge_profiles(&self.runs)
     }
+}
+
+/// The host self-profiles of `runs` merged, if any run carried one.
+fn merge_profiles(runs: &[RunTiming]) -> Option<HostProfile> {
+    let mut merged = HostProfile::zero();
+    let mut any = false;
+    for p in runs.iter().filter_map(|r| r.profile.as_ref()) {
+        merged.merge(p);
+        any = true;
+    }
+    any.then_some(merged)
 }
 
 /// Executor self-metrics: how the run cache settled the planned keys,
@@ -699,7 +428,7 @@ impl SweepLog {
             "  \"executor\": {}",
             executor_json(&self.executor)
         ));
-        if let Some(total) = self.merged_profile() {
+        if let Some(total) = merge_profiles(&self.runs) {
             out.push_str(&format!(",\n  \"self_profile\": {}", profile_json(&total)));
         }
         if let Some((key, identical)) = &self.verify {
@@ -710,34 +439,6 @@ impl SweepLog {
         }
         out.push_str("\n}\n");
         out
-    }
-
-    /// All logged runs' host self-profiles merged, if any carried one.
-    pub fn merged_profile(&self) -> Option<HostProfile> {
-        let mut merged = HostProfile::zero();
-        let mut any = false;
-        for run in &self.runs {
-            if let Some(p) = &run.profile {
-                merged.merge(p);
-                any = true;
-            }
-        }
-        any.then_some(merged)
-    }
-
-    /// All logged runs' network microscope profiles merged, if any
-    /// carried one. All-integer counters merged in logged (run-key)
-    /// order, so the aggregate is independent of worker scheduling.
-    pub fn merged_netprof(&self) -> Option<NetProfile> {
-        let mut merged = NetProfile::new();
-        let mut any = false;
-        for run in &self.runs {
-            if let Some(np) = &run.netprof {
-                merged.merge(np);
-                any = true;
-            }
-        }
-        any.then_some(merged)
     }
 
     /// Write the JSON document to `path`.
@@ -903,20 +604,11 @@ mod tests {
     #[test]
     fn pool_propagates_worker_panics() {
         let hits = AtomicUsize::new(0);
-        let ticks = AtomicUsize::new(0);
-        let tick = || {
-            ticks.fetch_add(1, Ordering::Relaxed);
-        };
         let result = std::panic::catch_unwind(|| {
-            run_pool_workers(
-                2,
-                8,
-                |_, slot| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    assert!(slot != 3, "injected failure");
-                },
-                Some(&tick),
-            );
+            run_pool_workers(2, 8, |i| {
+                hits.fetch_add(1, Ordering::Relaxed);
+                assert!(i != 3, "injected failure");
+            });
         });
         assert!(result.is_err(), "a panicking run must fail the sweep");
     }
@@ -925,74 +617,17 @@ mod tests {
     fn pool_covers_every_index_once() {
         let n = 64;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        run_pool_workers(
-            5,
-            n,
-            |_, slot| {
-                hits[slot].fetch_add(1, Ordering::Relaxed);
-            },
-            None,
-        );
+        run_pool_workers(5, n, |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         // Degenerate pools still work.
-        run_pool_workers(0, 0, |_, _| unreachable!("no indices"), None);
+        run_pool_workers(0, 0, |_| unreachable!("no indices"));
         let one = AtomicUsize::new(0);
-        run_pool_workers(
-            16,
-            1,
-            |_, _| {
-                one.fetch_add(1, Ordering::Relaxed);
-            },
-            None,
-        );
+        run_pool_workers(16, 1, |_| {
+            one.fetch_add(1, Ordering::Relaxed);
+        });
         assert_eq!(one.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn worker_pool_reports_worker_identity_and_monitors() {
-        let n = 32;
-        let seen: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let ticks = AtomicUsize::new(0);
-        let tick = || {
-            ticks.fetch_add(1, Ordering::Relaxed);
-        };
-        run_pool_workers(
-            3,
-            n,
-            |w, slot| {
-                assert!(w < 3, "worker index inside the pool");
-                seen[slot].store(w, Ordering::Relaxed);
-            },
-            Some(&tick),
-        );
-        assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) < 3));
-        assert!(
-            ticks.load(Ordering::Relaxed) >= 1,
-            "monitor runs at least the final tick"
-        );
-    }
-
-    #[test]
-    fn schedule_runs_longest_expected_first() {
-        // Known costs descend; the unknown runs first; ties keep
-        // declared order.
-        let order = schedule_order(&[Some(1.0), Some(5.0), None, Some(3.0), Some(5.0)]);
-        assert_eq!(order, vec![2, 1, 4, 3, 0]);
-        assert_eq!(schedule_order(&[]), Vec::<usize>::new());
-        // No cost model at all: declared order preserved.
-        assert_eq!(schedule_order(&[None, None, None]), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn eta_estimates_and_formats() {
-        // 12 s of known work + 2 unknowns priced at 3 s, over 2 workers.
-        assert_eq!(eta_secs(12.0, 2, Some(3.0), 2), Some(9.0));
-        assert_eq!(eta_secs(8.0, 0, None, 4), Some(2.0));
-        assert_eq!(eta_secs(0.0, 3, None, 4), None, "nothing to price with");
-        assert_eq!(fmt_eta(None), "--");
-        assert_eq!(fmt_eta(Some(4.2)), "5s");
-        assert_eq!(fmt_eta(Some(89.0)), "89s");
-        assert_eq!(fmt_eta(Some(150.0)), "2m30s");
     }
 
     #[test]
@@ -1070,9 +705,5 @@ mod tests {
             "balanced braces"
         );
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        // The merged aggregate reuses the same order-independent merge.
-        let merged = log.merged_netprof().expect("one run carried a netprof");
-        assert_eq!(merged.cycles, 10);
-        assert_eq!(merged.total_flits_routed(), 1);
     }
 }

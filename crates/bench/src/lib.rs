@@ -27,20 +27,14 @@ use atac::prelude::*;
 use atac::sim::energy::integrate;
 
 pub mod cache;
-pub mod costs;
 pub mod executor;
 pub mod plans;
 pub mod runjson;
 
 pub use cache::{
-    flight_enabled, netprof_enabled, netprof_sample_log2, profiling_enabled, publish_atomic,
-    RunCache, RunSource,
+    netprof_enabled, netprof_sample_log2, profiling_enabled, publish_atomic, RunCache, RunSource,
 };
-pub use costs::CostModel;
-pub use executor::{
-    jobs_from_env, write_flight, ExecOptions, ExecutorStats, RunPlan, RunTiming, SweepLog,
-    SweepReport,
-};
+pub use executor::{jobs_from_env, ExecutorStats, RunPlan, RunTiming, SweepLog, SweepReport};
 
 /// A cached full-system run: everything needed to recompute energy under
 /// any photonic scenario / receive-net flavor without re-simulating.

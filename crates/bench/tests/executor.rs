@@ -66,6 +66,15 @@ fn parallel_and_serial_sweeps_produce_byte_identical_records() {
         assert!(!a.is_empty());
         assert_eq!(a, b, "records for `{key}` must be byte-identical");
     }
+    // The sweep summaries (what lands in BENCH_sweep.json and feeds the
+    // gate) are identical too, already sorted by key.
+    assert_eq!(serial.summaries, parallel.summaries);
+    if cfg!(target_os = "linux") {
+        assert!(
+            parallel.peak_rss_bytes > 0,
+            "statm sampling must work on linux"
+        );
+    }
 
     // Atomic publication must not leave temp files behind.
     for cache in [&serial_cache, &parallel_cache] {

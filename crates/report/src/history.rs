@@ -13,9 +13,11 @@
 //!   aggregate — flits routed, credit stalls, skip-ahead efficacy,
 //!   epoch coalescing, and the network sub-phase coverage fraction.
 //! * `kind: "flight"` — at most one per recorded sweep (schema-v4
-//!   sweeps only): the executor's flight-recorder self-metrics — cache
-//!   hits/misses, single-flight waits, and the peak RSS high-water
-//!   mark. Host-side observability; never gate-compared.
+//!   sweeps only): the executor's self-metrics from the sweep doc's
+//!   `executor` block — cache hits/misses, single-flight waits, and the
+//!   peak RSS high-water mark. Host-side observability; never
+//!   gate-compared. The kind keeps its name so committed lines still
+//!   decode.
 //!
 //! Every line carries `schema` (`atac-report-history-v1`) and the git
 //! SHA of the tree that produced it; records are keyed by
@@ -111,10 +113,9 @@ pub struct NetProfEntry {
     pub net_secs: Option<f64>,
 }
 
-/// One sweep's executor flight-recorder self-metrics (schema-v4 sweeps
-/// only). Like [`NetProfEntry`] this is deliberately small: the full
-/// span-level journal stays in `BENCH_flight.jsonl`; history tracks
-/// only the counters a cache-efficiency trajectory can be drawn from.
+/// One sweep's executor self-metrics (schema-v4 sweeps only). Like
+/// [`NetProfEntry`] this is deliberately small: only the counters a
+/// cache-efficiency trajectory can be drawn from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightEntry {
     /// Git SHA of the tree that ran the sweep.
@@ -138,7 +139,7 @@ pub enum HistoryLine {
     Run(RunEntry),
     /// A sweep-level network-microscope aggregate.
     NetProf(NetProfEntry),
-    /// A sweep-level executor flight-recorder aggregate.
+    /// A sweep-level executor self-metrics aggregate.
     Flight(FlightEntry),
 }
 
@@ -177,7 +178,7 @@ impl History {
         })
     }
 
-    /// Executor flight-recorder aggregates, chronological.
+    /// Executor self-metrics aggregates, chronological.
     pub fn flights(&self) -> impl Iterator<Item = &FlightEntry> {
         self.lines.iter().filter_map(|l| match l {
             HistoryLine::Flight(f) => Some(f),

@@ -33,5 +33,5 @@ pub use history::{
     append_lines, encode_line, lines_from_sweep, read_history, write_text, FlightEntry, History,
     HistoryLine, NetProfEntry, RunEntry, SweepEntry, HISTORY_SCHEMA,
 };
-pub use render::{render, render_flight, render_netmap, sparkline};
+pub use render::{render, render_netmap, sparkline};
 pub use sweep::{parse_sweep, ExecutorStats, LatencySummary, PhaseProfile, RunMetrics, SweepDoc};

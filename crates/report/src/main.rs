@@ -9,7 +9,6 @@
 //!                    [--baseline <ref|file>] [--out BENCH_report.md] [--top <n>]
 //! atac-report netmap [--sweep BENCH_sweep.json] [--out BENCH_netmap.md]
 //!                    [--top <n>] [--min-coverage <frac>]
-//! atac-report flight [--journal BENCH_flight.jsonl] [--out BENCH_flight.md] [--top <n>]
 //! ```
 //!
 //! `--baseline` accepts either a history *file* or a git *ref*: when no
@@ -17,8 +16,8 @@
 //! `git show <ref>:<history-path>` — so CI can gate a PR against the
 //! history committed on `origin/main` without any checkout gymnastics.
 //!
-//! Exit codes: 0 pass, 1 gate regression (or a flight journal that
-//! fails reconciliation), 2 usage or I/O error.
+//! Exit codes: 0 pass, 1 gate regression (or a netmap below its
+//! coverage floor), 2 usage or I/O error.
 
 use std::path::Path;
 use std::process::{Command, ExitCode};
@@ -246,37 +245,6 @@ fn cmd_netmap(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_flight(args: &[String]) -> Result<ExitCode, String> {
-    let journal_path = opt(args, "--journal").unwrap_or_else(|| "BENCH_flight.jsonl".into());
-    let out_path = opt(args, "--out").unwrap_or_else(|| "BENCH_flight.md".into());
-    let top_n = match opt(args, "--top") {
-        Some(n) => n
-            .parse::<usize>()
-            .map_err(|_| format!("--top wants a count, got `{n}`"))?,
-        None => 10,
-    };
-    let text = std::fs::read_to_string(&journal_path)
-        .map_err(|e| format!("cannot read flight journal {journal_path}: {e}"))?;
-    let log = atac_trace::parse_flight(&text).map_err(|e| format!("{journal_path}: {e}"))?;
-    let md = atac_report::render_flight(&log, top_n);
-    atac_report::write_text(Path::new(&out_path), &md)
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    // The journal parsed and rendered; reconciliation failure is a
-    // verdict (exit 1, like a gate regression), not a usage error.
-    if let Err(broken) = atac_trace::reconcile(&log) {
-        println!("flight FAIL: {broken}");
-        return Ok(ExitCode::FAILURE);
-    }
-    println!(
-        "flight ok: {} event(s) reconcile over {} run(s), {} worker(s)",
-        log.events.len(),
-        log.runs,
-        log.jobs
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -284,17 +252,15 @@ fn main() -> ExitCode {
         Some("gate") => cmd_gate(&args[1..]),
         Some("render") => cmd_render(&args[1..]),
         Some("netmap") => cmd_netmap(&args[1..]),
-        Some("flight") => cmd_flight(&args[1..]),
         _ => {
             eprintln!(
-                "usage: atac-report <record|gate|render|netmap|flight> [options]\n\
+                "usage: atac-report <record|gate|render|netmap> [options]\n\
                  \x20 record  --sweep <f> --history <f> [--sha <sha>]\n\
                  \x20 gate    --baseline <ref|file> [--sweep <f>] [--history-path <p>] \
                  [--strict-host] [--require-all]\n\
                  \x20 render  [--history <f>] [--sweep <f>] [--baseline <ref|file>] \
                  [--out <f>] [--top <n>]\n\
-                 \x20 netmap  [--sweep <f>] [--out <f>] [--top <n>] [--min-coverage <frac>]\n\
-                 \x20 flight  [--journal <f>] [--out <f>] [--top <n>]"
+                 \x20 netmap  [--sweep <f>] [--out <f>] [--top <n>] [--min-coverage <frac>]"
             );
             return ExitCode::from(2);
         }

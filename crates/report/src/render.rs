@@ -9,10 +9,7 @@
 
 use std::fmt::Write as _;
 
-use atac_trace::{
-    CacheOutcome, FlightEvent, FlightLog, NetProfile, SpanKind, LINKS_PER_ROUTER,
-    OCC_BUCKET_LABELS, RUN_BUCKET_LABELS,
-};
+use atac_trace::{NetProfile, LINKS_PER_ROUTER, OCC_BUCKET_LABELS, RUN_BUCKET_LABELS};
 
 use crate::gate::{GateConfig, GateReport, Verdict};
 use crate::history::History;
@@ -416,247 +413,6 @@ pub fn render_netmap(doc: &SweepDoc, top_n: usize) -> Option<String> {
     Some(out)
 }
 
-/// Timeline resolution for the per-worker utilization strips.
-const FLIGHT_BUCKETS: usize = 48;
-
-fn flight_workers(log: &FlightLog, out: &mut String) {
-    // audit: order-stable — single-threaded walk of the journal's fixed
-    // event order; the bucket/busy sums see the same operand sequence on
-    // every render of the same journal.
-    let wall = log.wall_s.max(f64::MIN_POSITIVE);
-    let _ = writeln!(
-        out,
-        "Each strip tiles the sweep's {wall:.2}s wall clock into {FLIGHT_BUCKETS} \
-         buckets; bar height is the fraction of that bucket the worker spent \
-         inside a run (claim/simulate/publish).\n"
-    );
-    let _ = writeln!(out, "| worker | busy % | runs | timeline |");
-    let _ = writeln!(out, "|---|---|---|---|");
-    let mut pool_busy = 0.0;
-    for w in 0..log.jobs {
-        let mut busy_secs = 0.0;
-        let mut runs = 0u64;
-        let mut buckets = vec![0.0f64; FLIGHT_BUCKETS];
-        for (worker, kind, _, start, end) in log.spans() {
-            if worker != w || kind == SpanKind::Idle {
-                continue;
-            }
-            busy_secs += end - start;
-            if kind == SpanKind::Simulate {
-                runs += 1;
-            }
-            // Spread the span's seconds over the buckets it overlaps.
-            let step = wall / FLIGHT_BUCKETS as f64;
-            for (b, slot) in buckets.iter_mut().enumerate() {
-                let (b_lo, b_hi) = (b as f64 * step, (b as f64 + 1.0) * step);
-                let overlap = (end.min(b_hi) - start.max(b_lo)).max(0.0);
-                *slot += overlap / step;
-            }
-        }
-        pool_busy += busy_secs;
-        let _ = writeln!(
-            out,
-            "| w{w} | {:.1}% | {runs} | `{}` |",
-            busy_secs / wall * 100.0,
-            sparkline(&buckets)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\nPool utilization: **{:.1}%** of {} worker(s) × {wall:.2}s.",
-        pool_busy / (wall * log.jobs.max(1) as f64) * 100.0,
-        log.jobs
-    );
-}
-
-fn flight_stragglers(log: &FlightLog, out: &mut String, top_n: usize) {
-    let mut sims: Vec<(&str, u64, f64, f64)> = log
-        .spans()
-        .filter(|&(_, kind, key, ..)| kind == SpanKind::Simulate && key.is_some())
-        .map(|(worker, _, key, start, end)| (key.unwrap_or(""), worker, start, end - start))
-        .collect();
-    if sims.is_empty() {
-        let _ = writeln!(out, "No keys were simulated (a fully warm cache).");
-        return;
-    }
-    sims.sort_by(|a, b| b.3.total_cmp(&a.3).then(a.0.cmp(b.0)));
-    sims.truncate(top_n);
-    let wall = log.wall_s.max(f64::MIN_POSITIVE);
-    let _ = writeln!(out, "| key | worker | start s | secs | share of wall |");
-    let _ = writeln!(out, "|---|---|---|---|---|");
-    for (key, worker, start, secs) in sims {
-        let _ = writeln!(
-            out,
-            "| `{key}` | w{worker} | {start:.2} | {secs:.2} | {:.1}% |",
-            secs / wall * 100.0
-        );
-    }
-}
-
-fn flight_cache(log: &FlightLog, out: &mut String) {
-    let (hits, misses, waits) = (
-        log.outcome_count(CacheOutcome::Hit),
-        log.outcome_count(CacheOutcome::Miss),
-        log.outcome_count(CacheOutcome::Wait),
-    );
-    let torn = log.cache_events().filter(|&(_, _, torn)| torn).count();
-    let total = hits + misses + waits;
-    let _ = writeln!(out, "| outcome | count | share |");
-    let _ = writeln!(out, "|---|---|---|");
-    for (name, n) in [
-        ("hit", hits),
-        ("miss", misses),
-        ("single-flight wait", waits),
-    ] {
-        let _ = writeln!(
-            out,
-            "| {name} | {n} | {:.1}% |",
-            n as f64 / (total.max(1)) as f64 * 100.0
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\n{total} planned key(s); {torn} torn-record recover(ies) among the misses."
-    );
-}
-
-/// Greedy list-scheduling replay: walk `durations` in order, assigning
-/// each to the earliest-free of `jobs` workers; return the makespan.
-fn list_makespan(durations: &[f64], jobs: usize) -> f64 {
-    let mut free = vec![0.0f64; jobs.max(1)];
-    for &d in durations {
-        let next = free
-            .iter_mut()
-            .reduce(|a, b| if b.total_cmp(a).is_lt() { b } else { a })
-            .expect("at least one worker");
-        *next += d;
-    }
-    free.into_iter().fold(0.0, f64::max)
-}
-
-fn flight_scheduling(log: &FlightLog, out: &mut String) {
-    // Actual simulate seconds per key, from the span stream.
-    let durations: std::collections::BTreeMap<&str, f64> = log
-        .spans()
-        .filter(|&(_, kind, key, ..)| kind == SpanKind::Simulate && key.is_some())
-        .map(|(_, _, key, start, end)| (key.unwrap_or(""), end - start))
-        .collect();
-    let mut sched: Vec<(&str, u64, u64, Option<f64>)> = log
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            FlightEvent::Sched {
-                key,
-                declared,
-                scheduled,
-                expected_s,
-            } => Some((key.as_str(), *declared, *scheduled, *expected_s)),
-            _ => None,
-        })
-        .collect();
-    if sched.is_empty() || durations.is_empty() {
-        let _ = writeln!(
-            out,
-            "No scheduling decisions to replay (nothing simulated, or the \
-             journal predates the cost-aware scheduler)."
-        );
-        return;
-    }
-    let priced = sched.iter().filter(|s| s.3.is_some()).count();
-    let moved = sched.iter().filter(|s| s.1 != s.2).count();
-    // Replay greedy list scheduling of the *actual* durations in both
-    // orders: what the declared plan would have cost vs what the
-    // cost-aware order did cost.
-    sched.sort_by_key(|s| s.1);
-    let declared: Vec<f64> = sched
-        .iter()
-        .filter_map(|s| durations.get(s.0).copied())
-        .collect();
-    sched.sort_by_key(|s| s.2);
-    let scheduled: Vec<f64> = sched
-        .iter()
-        .filter_map(|s| durations.get(s.0).copied())
-        .collect();
-    let jobs = log.jobs.max(1) as usize;
-    let (m_decl, m_sched) = (
-        list_makespan(&declared, jobs),
-        list_makespan(&scheduled, jobs),
-    );
-    let _ = writeln!(
-        out,
-        "{} missing key(s) scheduled, {priced} priced from history, {moved} \
-         moved off declared order.\n",
-        sched.len()
-    );
-    let _ = writeln!(out, "| order | replayed makespan |");
-    let _ = writeln!(out, "|---|---|");
-    let _ = writeln!(out, "| declared | {m_decl:.2}s |");
-    let _ = writeln!(out, "| cost-aware (executed) | {m_sched:.2}s |");
-    let pct = (m_decl - m_sched) / m_decl.max(f64::MIN_POSITIVE) * 100.0;
-    let _ = writeln!(
-        out,
-        "\nGreedy replay of the measured per-key seconds puts the cost-aware \
-         order at **{pct:+.1}%** makespan vs the declared order ({jobs} workers)."
-    );
-}
-
-fn flight_memory(log: &FlightLog, out: &mut String) {
-    let samples: Vec<f64> = log
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            FlightEvent::Rss { bytes, .. } => Some(*bytes as f64),
-            _ => None,
-        })
-        .collect();
-    let _ = writeln!(
-        out,
-        "Peak RSS **{:.1} MiB** over {} sample(s).",
-        log.peak_rss_bytes as f64 / (1u64 << 20) as f64,
-        samples.len()
-    );
-    if samples.len() > 1 {
-        let _ = writeln!(out, "\n```\n{}\n```", sparkline(&samples));
-    }
-}
-
-/// Render the standalone flight-recorder page from a parsed journal:
-/// per-worker utilization timeline, straggler table, cache-outcome
-/// breakdown, scheduling replay, and the RSS high-water mark.
-pub fn render_flight(log: &FlightLog, top_n: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# ATAC sweep flight recorder");
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "{} worker(s) over {} planned key(s): {} simulated in {:.2}s wall; \
-         {} journal event(s).",
-        log.jobs,
-        log.planned,
-        log.runs,
-        log.wall_s,
-        log.events.len()
-    );
-    if log.skipped > 0 {
-        let _ = writeln!(
-            out,
-            "({} newer-schema event(s) skipped by this reader.)",
-            log.skipped
-        );
-    }
-    let _ = writeln!(out, "\n## Worker utilization\n");
-    flight_workers(log, &mut out);
-    let _ = writeln!(out, "\n## Stragglers\n");
-    flight_stragglers(log, &mut out, top_n);
-    let _ = writeln!(out, "\n## Cache outcomes\n");
-    flight_cache(log, &mut out);
-    let _ = writeln!(out, "\n## Cost-aware scheduling\n");
-    flight_scheduling(log, &mut out);
-    let _ = writeln!(out, "\n## Memory\n");
-    flight_memory(log, &mut out);
-    out
-}
-
 /// Render the full report. `gate` is present when a baseline was given;
 /// `sweep` is the current sweep being reported on, when available.
 pub fn render(
@@ -800,113 +556,6 @@ mod tests {
             !md.contains("Network microscope"),
             "no sweep → no netmap section"
         );
-    }
-
-    #[test]
-    fn flight_page_renders_every_section() {
-        let span = |worker, kind, key: Option<&str>, start_s, end_s| FlightEvent::Span {
-            worker,
-            kind,
-            key: key.map(str::to_string),
-            start_s,
-            end_s,
-        };
-        let log = FlightLog {
-            jobs: 2,
-            planned: 3,
-            events: vec![
-                FlightEvent::Cache {
-                    key: "c".into(),
-                    outcome: CacheOutcome::Hit,
-                    torn: false,
-                },
-                FlightEvent::Sched {
-                    key: "a".into(),
-                    declared: 0,
-                    scheduled: 1,
-                    expected_s: Some(1.0),
-                },
-                FlightEvent::Sched {
-                    key: "b".into(),
-                    declared: 1,
-                    scheduled: 0,
-                    expected_s: Some(3.0),
-                },
-                span(0, SpanKind::Idle, None, 0.0, 0.1),
-                span(0, SpanKind::Claim, Some("b"), 0.1, 0.2),
-                span(0, SpanKind::Simulate, Some("b"), 0.2, 3.2),
-                span(0, SpanKind::Publish, Some("b"), 3.2, 3.3),
-                FlightEvent::Cache {
-                    key: "b".into(),
-                    outcome: CacheOutcome::Miss,
-                    torn: true,
-                },
-                span(1, SpanKind::Simulate, Some("a"), 0.1, 1.1),
-                FlightEvent::Cache {
-                    key: "a".into(),
-                    outcome: CacheOutcome::Miss,
-                    torn: false,
-                },
-                FlightEvent::Queue {
-                    t_s: 0.1,
-                    pending: 1,
-                    busy: 1,
-                },
-                FlightEvent::Rss {
-                    t_s: 0.5,
-                    bytes: 50 << 20,
-                },
-                FlightEvent::Rss {
-                    t_s: 1.5,
-                    bytes: 80 << 20,
-                },
-            ],
-            wall_s: 3.5,
-            runs: 2,
-            peak_rss_bytes: 80 << 20,
-            skipped: 0,
-        };
-        let md = render_flight(&log, 5);
-        for section in [
-            "# ATAC sweep flight recorder",
-            "2 worker(s) over 3 planned key(s): 2 simulated in 3.50s wall",
-            "## Worker utilization",
-            "| w0 |",
-            "| w1 |",
-            "Pool utilization:",
-            "## Stragglers",
-            "| `b` | w0 | 0.20 | 3.00 |",
-            "## Cache outcomes",
-            "| hit | 1 |",
-            "| miss | 2 |",
-            "| single-flight wait | 0 |",
-            "1 torn-record recover(ies)",
-            "## Cost-aware scheduling",
-            "2 missing key(s) scheduled, 2 priced from history, 2 moved",
-            "| declared | 3.00s |",
-            "| cost-aware (executed) | 3.00s |",
-            "## Memory",
-            "Peak RSS **80.0 MiB** over 2 sample(s).",
-        ] {
-            assert!(md.contains(section), "missing {section:?} in:\n{md}");
-        }
-        // Straggler ordering: the 3s simulate outranks the 1s one.
-        let b = md.find("| `b` | w0 |").expect("b row");
-        let a = md.find("| `a` | w1 |").expect("a row");
-        assert!(b < a, "stragglers ordered by duration, descending");
-        assert!(md.chars().any(|c| SPARK.contains(&c)), "strips render");
-    }
-
-    #[test]
-    fn list_scheduling_replay_is_greedy() {
-        // One worker: makespan is the plain sum regardless of order.
-        assert_eq!(list_makespan(&[3.0, 1.0, 2.0], 1), 6.0);
-        // Two workers, LPT order packs [4] vs [3,2]: makespan 5.
-        assert_eq!(list_makespan(&[4.0, 3.0, 2.0], 2), 5.0);
-        // Same durations, worst declared order [2,3] vs [4] → 4+... :
-        // greedy assigns 2→w0, 3→w1, 4→w0 ⇒ w0=6.
-        assert_eq!(list_makespan(&[2.0, 3.0, 4.0], 2), 6.0);
-        assert_eq!(list_makespan(&[], 4), 0.0);
     }
 
     #[test]

@@ -72,7 +72,6 @@ fn emit_sweep(cycles_a: u64, host_secs: f64) -> String {
             ),
         ],
         peak_rss_bytes: 96 << 20,
-        flight: None,
     };
     let mut log = SweepLog::new(4);
     log.phase("warm", host_secs + 0.5);
@@ -177,7 +176,6 @@ fn host_phase_vocabulary_roundtrips() {
         }],
         summaries: vec![summary("k", "radix", 1000)],
         peak_rss_bytes: 0,
-        flight: None,
     };
     let mut log = SweepLog::new(1);
     log.absorb(&report);

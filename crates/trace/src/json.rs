@@ -5,6 +5,8 @@
 //! output with this ~150-line reader instead of `serde_json`. It
 //! accepts standard JSON; the only liberty is that numbers are read as
 //! `f64`, which is exact for the integer counters we emit below 2^53.
+//! Nesting deeper than 64 levels is rejected, so a malformed file yields
+//! a [`ParseError`] rather than overflowing the stack.
 
 use std::fmt;
 
@@ -80,11 +82,17 @@ impl fmt::Display for ParseError {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The deepest document
+/// the workspace emits (a sweep doc's `runs[].netprof.routers[][]`) is 6
+/// levels deep.
+const MAX_DEPTH: usize = 64;
+
 /// Parse one complete JSON document; trailing garbage is an error.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -98,6 +106,8 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -138,8 +148,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
@@ -324,6 +345,15 @@ mod tests {
         for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "1 2", "{'a': 1}", "tru"] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+        // Pathological nesting is an error, not a stack overflow.
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = parse(&deep).expect_err("100,000-deep nesting must be rejected");
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        // 64 levels still parse; the 65th is rejected.
+        let at_limit = format!("{}{}", "[".repeat(64), "]".repeat(64));
+        assert!(parse(&at_limit).is_ok());
+        assert!(parse(&format!("[{at_limit}]")).is_err());
     }
 
     #[test]

@@ -32,10 +32,6 @@
 //!   network observability layer: per-router/link counters, hub
 //!   occupancy, and skip-ahead efficacy metrics collected into the
 //!   mergeable [`NetProfile`].
-//! * [`flight`] — the sweep flight recorder: the thread-safe
-//!   [`FlightRecorder`] the parallel executor fills with worker
-//!   lifecycle spans, cache outcomes, queue-depth and RSS samples, and
-//!   the emitter/validator pair for the `atac-flight-v1` JSONL journal.
 //!
 //! This crate sits *below* `atac-net` in the dependency graph (it only
 //! depends on `atac-phys` for unit newtypes), so every simulator layer
@@ -47,7 +43,6 @@
 
 pub mod collect;
 pub mod export;
-pub mod flight;
 pub mod hist;
 pub mod json;
 pub mod netobs;
@@ -58,10 +53,6 @@ pub use collect::{Span, TraceCollector, Track, DEFAULT_SPAN_CAPACITY};
 pub use export::{
     chrome_trace, metrics_jsonl, percentile_row, validate_chrome_trace, validate_metrics_jsonl,
     MetricsSummary,
-};
-pub use flight::{
-    current_rss_bytes, parse_flight, reconcile, validate_flight_jsonl, CacheOutcome, FlightEvent,
-    FlightHandle, FlightLog, FlightRecorder, FlightSummary, SpanKind, FLIGHT_SCHEMA,
 };
 pub use hist::{Histogram, BUCKETS};
 pub use netobs::{
