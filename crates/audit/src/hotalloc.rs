@@ -1,8 +1,8 @@
 //! Rule 2: the hot-path allocation census.
 //!
-//! ROADMAP item 1 (the ≥5× network hot-path overhaul) needs to know
-//! exactly where the per-cycle wormhole/coherence paths allocate before
-//! anyone can credibly remove those allocations. This rule walks the
+//! The network hot-path work (DESIGN.md §13/§14) needs to know exactly
+//! where the per-cycle wormhole/coherence paths allocate before anyone
+//! can credibly remove those allocations. This rule walks the
 //! hot-path files (`HOT_PATH_FILES`) and inventories every allocation-shaped call
 //! site — `push`/`push_back`, `Box::new`, `clone()`, `to_string()`,
 //! `format!`, `collect()`, `vec![`, `Vec::new`, `String::from`, … —
@@ -78,7 +78,7 @@ pub const PER_CYCLE_FNS: &[(&str, &[&str])] = &[
             "try_send_to_hub",
             "pop_hub_out",
             "hub_out_ready",
-            "has_hub_out",
+            "hubs_ready",
             "inject_expanded_broadcast",
             "inject_tree_broadcast",
             "note_ready",
@@ -112,12 +112,18 @@ pub const PER_CYCLE_FNS: &[(&str, &[&str])] = &[
             "is_idle",
             "drain_deliveries",
             "next_event",
+            "tx_horizon",
+            "rx_horizon",
             "tick",
             "tick_senders",
             "dest_range",
             "tick_receivers",
             "deliver",
         ],
+    ),
+    (
+        "crates/net/src/hubset.rs",
+        &["insert", "remove", "is_empty", "walk", "iter", "next"],
     ),
     (
         "crates/net/src/atac.rs",
@@ -143,6 +149,7 @@ pub const PER_CYCLE_FNS: &[(&str, &[&str])] = &[
             "outbox_pending",
             "memctrl_tick",
             "next_mem_event",
+            "mem_submit",
             "handle_delivery",
             "core_msg",
             "core_fill",

@@ -127,6 +127,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/net/src/mesh.rs",
     "crates/net/src/onet.rs",
     "crates/net/src/atac.rs",
+    "crates/net/src/hubset.rs",
     "crates/coherence/src/system.rs",
     "crates/coherence/src/directory.rs",
     "crates/coherence/src/protocol.rs",

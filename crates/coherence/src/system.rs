@@ -43,13 +43,13 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-use atac_net::{CoreId, Cycle, Delivery, Dest, Message, Network, Topology};
+use atac_net::{ClusterId, CoreId, Cycle, Delivery, Dest, HubSet, Message, Network, Topology};
 use atac_trace::{HostPhase, HostProfiler, ProbeHandle, TxnEvent, TxnPhase};
 
 use crate::addr::Addr;
 use crate::cache::{LineState, SetAssocCache, Victim};
 use crate::directory::{DirState, SharerSet, WaitingReq};
-use crate::memctrl::MemCtrl;
+use crate::memctrl::{MemCtrl, MemOp};
 use crate::protocol::{CohKind, CohPayload, PayloadTable, ProtocolKind};
 use crate::stats::CoherenceStats;
 
@@ -131,6 +131,11 @@ pub struct MemorySystem {
     /// Memory controllers, one per cluster, tagged with the pending
     /// payload to send back.
     memctrls: Vec<MemCtrl<CohPayload>>,
+    /// Controllers with operations in flight: the only ones the per-cycle
+    /// tick and horizon visit.
+    mem_busy: HubSet,
+    /// Completion buffer reused by every `memctrl_tick`.
+    mem_done: Vec<MemOp<CohPayload>>,
     payloads: PayloadTable,
     /// Per-core FIFO outboxes (per-source ordering is a protocol
     /// correctness requirement — see §IV-C-1 discussion in DESIGN.md).
@@ -166,6 +171,8 @@ impl MemorySystem {
             waiters: BTreeMap::new(),
             seq: vec![0; n],
             memctrls: (0..topo.clusters()).map(|_| MemCtrl::default()).collect(),
+            mem_busy: HubSet::new(topo.clusters()),
+            mem_done: Vec::new(),
             payloads: PayloadTable::default(),
             outbox: (0..n).map(|_| VecDeque::new()).collect(),
             completions: Vec::new(),
@@ -325,15 +332,23 @@ impl MemorySystem {
     /// Advance memory controllers: emit `MemData` replies whose access
     /// latency elapsed by `now`.
     pub fn memctrl_tick(&mut self, now: Cycle) {
-        let mut done = Vec::new(); // audit: allow(alloc) capacity-free; reused across controllers in the loop
-        for cl in 0..self.memctrls.len() {
+        // Controller `cl`'s completions go to outboxes, never to a
+        // controller, so the walk visits the busy set as the tick began.
+        let mut done = std::mem::take(&mut self.mem_done);
+        let mut walk = self.mem_busy.walk();
+        while let Some(cl) = walk.next(&self.mem_busy) {
             if self.memctrls[cl].next_event().is_none_or(|t| t > now) {
                 continue;
             }
-            done.clear();
             self.memctrls[cl].drain_completed(now, &mut done);
-            #[expect(clippy::cast_possible_truncation, reason = "clusters ≤ 64 fit u8")]
-            let hub = self.topo.hub_core(atac_net::ClusterId(cl as u8));
+            if self.memctrls[cl].is_idle() {
+                self.mem_busy.remove(cl);
+            }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "clusters ≤ 256 (`Topology::small` asserts it) fit u8"
+            )]
+            let hub = self.topo.hub_core(ClusterId(cl as u8));
             for op in done.drain(..) {
                 if op.is_write {
                     continue; // writes complete silently
@@ -350,16 +365,38 @@ impl MemorySystem {
                 );
             }
         }
-        // propagate queue-delay counters
-        self.stats.mem_queue_cycles = self.memctrls.iter().map(|m| m.queue_cycles).sum();
-        self.stats.mem_reads = self.memctrls.iter().map(|m| m.reads).sum();
-        self.stats.mem_writes = self.memctrls.iter().map(|m| m.writes).sum();
+        self.mem_done = done;
         self.profiler.lap(HostPhase::Memctrl);
     }
 
     /// Earliest pending memory-controller completion (for skip-ahead).
     pub fn next_mem_event(&self) -> Option<Cycle> {
-        self.memctrls.iter().filter_map(|m| m.next_event()).min()
+        let next = self
+            .mem_busy
+            .iter()
+            .filter_map(|cl| self.memctrls[cl].next_event())
+            .min();
+        debug_assert_eq!(
+            next,
+            self.memctrls.iter().filter_map(MemCtrl::next_event).min(),
+            "busy-controller set misses a controller"
+        );
+        next
+    }
+
+    /// Queue `op` at cluster `cl`'s memory controller. The memory counters
+    /// change here and nowhere else.
+    fn mem_submit(&mut self, cl: ClusterId, op: MemOp<CohPayload>, now: Cycle) {
+        let m = &mut self.memctrls[cl.idx()];
+        let queued = m.queue_cycles;
+        m.submit(op, now);
+        self.stats.mem_queue_cycles += m.queue_cycles - queued;
+        if op.is_write {
+            self.stats.mem_writes += 1;
+        } else {
+            self.stats.mem_reads += 1;
+        }
+        self.mem_busy.insert(cl.idx());
     }
 
     /// Handle one network delivery.
@@ -390,25 +427,10 @@ impl MemorySystem {
             CohKind::FlushData => self.dir_flush_data(p.addr),
             CohKind::MemData => self.dir_mem_data(p.addr),
             // ---- memory-controller-bound ----
-            CohKind::MemRead => {
+            CohKind::MemRead | CohKind::MemWrite => {
                 let cl = p.addr.mem_cluster(&self.topo);
-                self.memctrls[cl.idx()].submit(
-                    crate::memctrl::MemOp {
-                        tag: p,
-                        is_write: false,
-                    },
-                    now,
-                );
-            }
-            CohKind::MemWrite => {
-                let cl = p.addr.mem_cluster(&self.topo);
-                self.memctrls[cl.idx()].submit(
-                    crate::memctrl::MemOp {
-                        tag: p,
-                        is_write: true,
-                    },
-                    now,
-                );
+                let is_write = p.kind == CohKind::MemWrite;
+                self.mem_submit(cl, MemOp { tag: p, is_write }, now);
             }
             // ---- core-bound (seq-number ordering applies) ----
             CohKind::ShRep
@@ -1244,7 +1266,7 @@ impl MemorySystem {
             .iter()
             .all(|c| c.mshr.is_none() && c.held.is_empty())
             && self.payloads.live() == 0
-            && self.memctrls.iter().all(|m| m.is_idle())
+            && self.mem_busy.is_empty()
             && self.outbox.iter().all(|q| q.is_empty())
             && self.completions.is_empty()
     }
@@ -1260,10 +1282,28 @@ impl MemorySystem {
     /// 3. **Serialized requests**: a request waits at the directory only
     ///    behind a transaction in flight on its line, and none waits at
     ///    quiescence.
+    /// 4. **Memory bookkeeping**: the busy-controller set holds exactly the
+    ///    controllers with operations in flight, and the `mem_*` counters
+    ///    equal the controllers' own totals.
     ///
     /// Panics on violation.
     pub fn check_invariants(&self, quiescent: bool) {
         use std::collections::BTreeMap as Map;
+        for (cl, m) in self.memctrls.iter().enumerate() {
+            assert_eq!(
+                self.mem_busy.contains(cl),
+                !m.is_idle(),
+                "busy set at controller {cl}"
+            );
+        }
+        let total = |f: fn(&MemCtrl<CohPayload>) -> u64| self.memctrls.iter().map(f).sum::<u64>();
+        assert_eq!(self.stats.mem_reads, total(|m| m.reads), "mem_reads");
+        assert_eq!(self.stats.mem_writes, total(|m| m.writes), "mem_writes");
+        assert_eq!(
+            self.stats.mem_queue_cycles,
+            total(|m| m.queue_cycles),
+            "mem_queue_cycles"
+        );
         let mut m_holder: Map<Addr, CoreId> = Map::new();
         let mut s_count: Map<Addr, u32> = Map::new();
         for (ci, cm) in self.cores.iter().enumerate() {

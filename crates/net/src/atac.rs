@@ -268,21 +268,23 @@ impl Network for AtacNet {
 
     fn tick(&mut self, now: Cycle) {
         self.enet.tick(now);
-        // Hub: move completed ENet ejections onto the SWMR links. The
-        // per-cluster sweep only runs when the ENet's O(1) hub counter
-        // says some cluster has a completed message — on hubless ticks
-        // (the vast majority) the hand-off costs one branch, not an
-        // O(clusters) scan.
-        if self.enet.has_hub_out() {
-            for cl in 0..self.topo.clusters() {
-                #[expect(clippy::cast_possible_truncation, reason = "clusters ≤ 64 fit u8")]
-                let cl = crate::types::ClusterId(cl as u8);
-                while self.onet.can_accept(cl) && self.enet.hub_out_ready(cl) {
-                    #[expect(clippy::expect_used, reason = "hub_out_ready checked it above")]
-                    let (msg, inject) = self.enet.pop_hub_out(cl).expect("ready");
-                    self.onet.stats.hub_buffer_reads += 1;
-                    self.onet.accept(cl, msg, inject);
-                }
+        // Hub: move completed ENet ejections onto the SWMR links. Only
+        // clusters in the ENet's hub set hold a completed message, so on
+        // hubless ticks (the vast majority) the hand-off visits nothing.
+        // The hand-off for `cl` touches only `hub_out[cl]` and `links[cl]`,
+        // so the walk visits the set as it stood before the first pop.
+        let mut walk = self.enet.hubs_ready().walk();
+        while let Some(cl) = walk.next(self.enet.hubs_ready()) {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "clusters ≤ 256 (`Topology::small` asserts it) fit u8"
+            )]
+            let cl = crate::types::ClusterId(cl as u8);
+            while self.onet.can_accept(cl) && self.enet.hub_out_ready(cl) {
+                #[expect(clippy::expect_used, reason = "hub_out_ready checked it above")]
+                let (msg, inject) = self.enet.pop_hub_out(cl).expect("ready");
+                self.onet.stats.hub_buffer_reads += 1;
+                self.onet.accept(cl, msg, inject);
             }
         }
         self.onet.tick(now);
@@ -579,5 +581,67 @@ mod tests {
         let s = net.stats();
         assert_eq!(s.unicast_received, uc);
         assert_eq!(s.broadcast_received, bc * 63);
+    }
+
+    #[test]
+    fn every_message_delivered_once_across_256_hubs() {
+        // 1,024 cores in 2×2 clusters: 256 hubs, so each hub set spans
+        // four words. Cluster routing puts every inter-cluster unicast on
+        // the ONet; `is_idle` and `next_event` run their per-hub debug
+        // cross-checks every cycle.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let t = Topology::small(32, 2);
+        assert_eq!(t.clusters(), 256);
+        let n: u16 = 1024;
+        assert_eq!(t.cores(), usize::from(n));
+        let mut net = AtacNet::new(t, 64, 4, RoutingPolicy::Cluster, ReceiveNet::StarNet);
+        let mut rng = SmallRng::seed_from_u64(256);
+        let mut want = Vec::new();
+        let mut out = Vec::new();
+        let (mut uc, mut bc) = (0, 0);
+        let mut now = 0;
+        while now < 200 || !net.is_idle() {
+            for c in 0..n {
+                if now >= 200 || !rng.gen_bool(0.008) {
+                    continue;
+                }
+                let dest = if rng.gen_bool(0.012) {
+                    Dest::Broadcast
+                } else {
+                    Dest::Unicast(CoreId(rng.gen_range(0..n)))
+                };
+                let m = Message {
+                    token: want.len() as u64,
+                    ..msg(c, dest)
+                };
+                if !net.try_send(m, now) {
+                    continue;
+                }
+                match dest {
+                    Dest::Unicast(d) => {
+                        uc += 1;
+                        want.push((m.token, d));
+                    }
+                    Dest::Broadcast => {
+                        bc += 1;
+                        let others = (0..n).filter(|&r| r != c);
+                        want.extend(others.map(|r| (m.token, CoreId(r))));
+                    }
+                }
+            }
+            net.tick(now);
+            net.drain_deliveries(&mut out);
+            assert!(net.is_idle() || net.next_event(now).is_some());
+            now += 1;
+            assert!(now < 100_000, "did not drain");
+        }
+        assert!(uc > 1000 && bc > 10, "{uc} unicasts, {bc} broadcasts");
+        let mut got: Vec<_> = out.iter().map(|d| (d.msg.token, d.receiver)).collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "each message reaches each receiver exactly once");
+        let s = net.stats();
+        assert!(s.onet_flits_sent > 0 && s.hub_buffer_reads > 0);
     }
 }

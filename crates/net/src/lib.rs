@@ -30,6 +30,7 @@
 pub mod atac;
 pub mod counters;
 pub mod harness;
+pub mod hubset;
 pub mod mesh;
 pub mod onet;
 pub mod stats;
@@ -37,6 +38,7 @@ pub mod topology;
 pub mod types;
 
 pub use atac::{AtacNet, Network, ReceiveNet, RoutingPolicy};
+pub use hubset::{HubSet, HubWalk};
 pub use mesh::{Mesh, MeshKind};
 pub use onet::Onet;
 pub use stats::NetStats;

@@ -49,6 +49,7 @@
 
 use std::collections::VecDeque;
 
+use crate::hubset::HubSet;
 use crate::stats::NetStats;
 use crate::topology::{Port, Topology};
 use crate::types::{ClusterId, CoreId, Cycle, Delivery, Dest, Message};
@@ -231,10 +232,10 @@ pub struct Mesh {
     /// router. Body and tail flits use it to skip the packet-slab load
     /// entirely — the one random-access read on the per-flit path.
     run_cont: Vec<bool>,
-    /// Messages currently queued across all hub ejection buffers —
+    /// Clusters whose hub ejection buffer holds a completed message —
     /// maintained on push/pop so `is_idle`/`next_event` never scan the
-    /// per-cluster queues (O(active), not O(clusters)).
-    hub_out_msgs: u64,
+    /// per-cluster queues and the hub consumer visits only these.
+    hub_ready: HubSet,
 
     // ---- precomputed geometry (all per-cycle div/mod hoisted here) ----
     /// Tile coordinates per router.
@@ -294,7 +295,10 @@ impl Mesh {
             let c = CoreId(r as u16);
             let (x, y) = topo.xy(c);
             coords.push((x, y));
-            #[expect(clippy::cast_possible_truncation, reason = "cluster count ≤ 64")]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "cluster count ≤ 256 (`Topology::small` asserts it)"
+            )]
             cluster.push(topo.cluster_of(c).idx() as u16);
             if y > 0 {
                 neighbor[r * 4 + Port::North.idx()] = u32::from(topo.core_at(x, y - 1).0);
@@ -329,7 +333,7 @@ impl Mesh {
             run_port_pkt: vec![NO_OWNER; n * 4],
             run_port: vec![Port::Local; n * 4],
             run_cont: vec![false; n * 4],
-            hub_out_msgs: 0,
+            hub_ready: HubSet::new(topo.clusters()),
             coords,
             neighbor,
             cluster,
@@ -549,7 +553,9 @@ impl Mesh {
         if let Some((ref msg, _)) = m {
             let len = u32::from(self.flits_of(msg));
             self.hub_used[cluster.idx()] -= len;
-            self.hub_out_msgs -= 1;
+            if self.hub_out[cluster.idx()].is_empty() {
+                self.hub_ready.remove(cluster.idx());
+            }
         }
         m
     }
@@ -559,11 +565,10 @@ impl Mesh {
         !self.hub_out[cluster.idx()].is_empty()
     }
 
-    /// Whether *any* hub ejection buffer holds a completed message — an
-    /// O(1) counter read, so the hub arbiter can skip its per-cluster
-    /// hand-off sweep entirely on hubless ticks.
-    pub fn has_hub_out(&self) -> bool {
-        self.hub_out_msgs > 0
+    /// The clusters whose hub buffer holds a completed message, so the
+    /// hub consumer visits only those (none on hubless ticks).
+    pub fn hubs_ready(&self) -> &HubSet {
+        &self.hub_ready
     }
 
     /// EMesh-Pure: a broadcast becomes `N−1` unicast packets queued at the
@@ -676,7 +681,16 @@ impl Mesh {
 
     /// Whether the network holds any traffic.
     pub fn is_idle(&self) -> bool {
-        self.hub_out_msgs == 0 && self.active_bits.iter().all(|&w| w == 0)
+        if cfg!(debug_assertions) {
+            for (cl, q) in self.hub_out.iter().enumerate() {
+                assert_eq!(
+                    self.hub_ready.contains(cl),
+                    !q.is_empty(),
+                    "hub set at {cl}"
+                );
+            }
+        }
+        self.hub_ready.is_empty() && self.active_bits.iter().all(|&w| w == 0)
     }
 
     /// Earliest future cycle at which this mesh could move a flit, change
@@ -689,7 +703,7 @@ impl Mesh {
     /// router's horizon at `now`, so the mesh never skips over cycles in
     /// which arbitration or credit state could evolve.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.hub_out_msgs > 0 {
+        if !self.hub_ready.is_empty() {
             return Some(now + 1); // the hub consumer may pop any cycle
         }
         let mut t = Cycle::MAX;
@@ -1441,7 +1455,7 @@ impl Mesh {
             let pkt = self.packets[pkt_id as usize].expect("live packet");
             // audit: allow(alloc) consumer-drained: popped by the hub arbiter every cycle via `pop_hub_out`
             self.hub_out[cl].push_back((pkt.msg, pkt.inject));
-            self.hub_out_msgs += 1;
+            self.hub_ready.insert(cl);
             self.free_packet(pkt_id);
         }
         true

@@ -36,6 +36,7 @@
 
 use std::collections::VecDeque;
 
+use crate::hubset::HubSet;
 use crate::stats::NetStats;
 use crate::topology::Topology;
 use crate::types::{ClusterId, Cycle, Delivery, Dest, Message};
@@ -122,11 +123,11 @@ pub struct Onet {
     obs: NetObsHandle,
     /// Which receive-network flavor final deliveries report as.
     recv_subnet: Subnet,
-    /// Live work items: queued TX messages + links mid-transmission +
-    /// RX packets being reassembled. Zero ⇔ idle, so the per-cycle tick
-    /// and the idle/horizon queries early-out in O(1) on a quiet ONet
-    /// instead of sweeping every link and receive queue.
-    live: u32,
+    /// Hubs whose link is mid-transmission or has a queued message. The
+    /// tick and the horizon visit these senders alone.
+    tx_active: HubSet,
+    /// Hubs whose receive queue holds a packet being reassembled.
+    rx_active: HubSet,
 }
 
 impl Onet {
@@ -148,7 +149,8 @@ impl Onet {
             probe: ProbeHandle::default(),
             obs: NetObsHandle::disabled(),
             recv_subnet: Subnet::StarNet,
-            live: 0,
+            tx_active: HubSet::new(h),
+            rx_active: HubSet::new(h),
         }
     }
 
@@ -200,20 +202,24 @@ impl Onet {
             len,
             dest,
         });
-        self.live += 1;
+        self.tx_active.insert(cluster.idx());
     }
 
     /// Whether any link or receive pipeline still holds traffic.
     pub fn is_idle(&self) -> bool {
-        debug_assert_eq!(
-            self.live == 0,
-            self.links
-                .iter()
-                .all(|l| l.q.is_empty() && l.state == LinkState::Idle)
-                && self.rx.iter().all(|r| r.q.is_empty()),
-            "live counter out of sync with link/rx state"
-        );
-        self.live == 0
+        if cfg!(debug_assertions) {
+            for (h, (l, r)) in self.links.iter().zip(&self.rx).enumerate() {
+                let sending = l.state != LinkState::Idle || !l.q.is_empty();
+                assert_eq!(self.tx_active.contains(h), sending, "sender set at hub {h}");
+                let receiving = !r.q.is_empty();
+                assert_eq!(
+                    self.rx_active.contains(h),
+                    receiving,
+                    "receiver set at hub {h}"
+                );
+            }
+        }
+        self.tx_active.is_empty() && self.rx_active.is_empty()
     }
 
     /// Move deliveries accumulated since the last call into `out`.
@@ -226,63 +232,71 @@ impl Onet {
     /// state change (an early return only costs a no-op tick), so the
     /// engine may jump straight to it.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.live == 0 {
-            return None; // nothing queued, in flight, or draining
+        let tx = self
+            .tx_active
+            .iter()
+            .filter_map(|h| self.tx_horizon(h, now));
+        let rx = self.rx_active.iter().filter_map(|cl| self.rx_horizon(cl));
+        let next = tx.chain(rx).min().map(|t| t.max(now + 1));
+        debug_assert_eq!(next, self.next_event_sweep(now), "hub sets miss a hub");
+        next
+    }
+
+    /// Debug reference for [`Onet::next_event`]: the same horizon from a
+    /// sweep over every hub, blind to the hub sets.
+    fn next_event_sweep(&self, now: Cycle) -> Option<Cycle> {
+        let hubs = self.links.len();
+        let tx = (0..hubs).filter_map(|h| self.tx_horizon(h, now));
+        let rx = (0..hubs).filter_map(|cl| self.rx_horizon(cl));
+        tx.chain(rx).min().map(|t| t.max(now + 1))
+    }
+
+    /// Earliest tick at which sender `h` could act, if it holds work.
+    fn tx_horizon(&self, h: usize, now: Cycle) -> Option<Cycle> {
+        let l = &self.links[h];
+        match l.state {
+            // The link retires (and the next queued message may start)
+            // on the first tick after the last data cycle.
+            LinkState::Busy { until } => Some(until + 1),
+            // A queued message starts as soon as its receive reservations
+            // fit; that depends on receiver-side drain progress, so stay
+            // conservative.
+            LinkState::Idle => (!l.q.is_empty()).then_some(now + 1),
         }
-        let mut t = Cycle::MAX;
-        for l in &self.links {
-            match l.state {
-                // The link retires (and the next queued message may
-                // start) on the first tick after the last data cycle.
-                LinkState::Busy { until } => t = t.min(until + 1),
-                LinkState::Idle => {
-                    // A queued message starts as soon as its receive
-                    // reservations fit; that depends on receiver-side
-                    // drain progress, so stay conservative.
-                    if !l.q.is_empty() {
-                        t = t.min(now + 1);
-                    }
-                }
-            }
-        }
-        for r in &self.rx {
-            if let Some(head) = r.q.front() {
-                // Flit `forwarded` becomes forwardable once it has
-                // propagated the ring (see `tick_receivers`).
-                t = t.min(head.start + ONET_LINK_DELAY + Cycle::from(head.forwarded));
-            }
-        }
-        if t == Cycle::MAX {
-            debug_assert!(self.is_idle());
-            None
-        } else {
-            Some(t.max(now + 1))
-        }
+    }
+
+    /// Earliest tick at which receive hub `cl` could forward a flit, if
+    /// it holds a packet: flit `forwarded` becomes forwardable once it
+    /// has propagated the ring (see `tick_receivers`).
+    fn rx_horizon(&self, cl: usize) -> Option<Cycle> {
+        let head = self.rx[cl].q.front()?;
+        Some(head.start + ONET_LINK_DELAY + Cycle::from(head.forwarded))
     }
 
     /// Advance one cycle: start new transmissions where possible, then
     /// drain receive pipelines into the cluster receive networks.
     pub fn tick(&mut self, now: Cycle) {
-        if self.live == 0 {
-            return; // O(1) quiet tick instead of the link + rx sweeps
-        }
         self.tick_senders(now);
         self.tick_receivers(now);
     }
 
     fn tick_senders(&mut self, now: Cycle) {
-        for h in 0..self.links.len() {
+        // Handling sender `h` changes only `h`'s own bit here (its pushes
+        // go to the receive set), so the walk visits the senders as they
+        // stood when the tick began, in ascending order.
+        let mut walk = self.tx_active.walk();
+        while let Some(h) = walk.next(&self.tx_active) {
             // Retire finished transmissions.
             if let LinkState::Busy { until } = self.links[h].state {
                 if now > until {
                     self.links[h].state = LinkState::Idle;
-                    self.live -= 1;
                 }
             }
             if self.links[h].state != LinkState::Idle {
                 continue;
             }
             let Some(&tx) = self.links[h].q.front() else {
+                self.tx_active.remove(h);
                 continue;
             };
             // Reserve receive buffer space for the whole message at every
@@ -294,8 +308,6 @@ impl Onet {
                 continue;
             }
             self.links[h].q.pop_front();
-            // Queue slot (−1) becomes a busy link (+1): `live` is net
-            // unchanged here; each RxPacket below adds one.
             // Setup: select notification this cycle, data starts next.
             let start = now + SELECT_DATA_LAG;
             let until = start + Cycle::from(tx.len) - 1;
@@ -317,7 +329,10 @@ impl Onet {
             };
             self.obs.hub_tx(h, kind, u64::from(tx.len));
             self.probe.onet_tx(&OnetTx {
-                #[expect(clippy::cast_possible_truncation, reason = "hub index < clusters ≤ 64")]
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "hub index < clusters ≤ 256 (`Topology::small` asserts it)"
+                )]
                 hub: h as u32,
                 kind,
                 start,
@@ -326,7 +341,7 @@ impl Onet {
             });
             for d in self.dest_range(tx.dest) {
                 self.rx[d].reserved_flits += u32::from(tx.len);
-                self.live += 1;
+                self.rx_active.insert(d);
                 // audit: allow(alloc) reservation-bounded (≤ HUB_RX_CAP flits); capacity amortized
                 self.rx[d].q.push_back(RxPacket {
                     msg: tx.msg,
@@ -353,7 +368,9 @@ impl Onet {
     }
 
     fn tick_receivers(&mut self, now: Cycle) {
-        for cl in 0..self.rx.len() {
+        // Receiver `cl` touches only `rx[cl]` and its own bit.
+        let mut walk = self.rx_active.walk();
+        while let Some(cl) = walk.next(&self.rx_active) {
             let mut budget = RECEIVE_NETS_PER_CLUSTER;
             while budget > 0 {
                 let Some(head) = self.rx[cl].q.front_mut() else {
@@ -385,7 +402,9 @@ impl Onet {
                     let pkt = *head;
                     self.rx[cl].q.pop_front();
                     self.rx[cl].reserved_flits -= u32::from(pkt.len);
-                    self.live -= 1;
+                    if self.rx[cl].q.is_empty() {
+                        self.rx_active.remove(cl);
+                    }
                     self.deliver(cl, pkt, now);
                 }
             }
@@ -416,7 +435,10 @@ impl Onet {
                 });
             }
             Dest::Broadcast => {
-                #[expect(clippy::cast_possible_truncation, reason = "clusters ≤ 64 fit u8")]
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "clusters ≤ 256 (`Topology::small` asserts it) fit u8"
+                )]
                 for c in self.topo.cluster_cores(ClusterId(cl as u8)) {
                     if c == pkt.msg.src {
                         continue;

@@ -26,16 +26,25 @@ impl Topology {
 
     /// A small chip for fast tests: 8×8 tiles, 4 clusters of 16 cores
     /// (or custom cluster side).
+    ///
+    /// Panics unless `cluster_side` divides `side` and the chip has at
+    /// most 256 clusters, the most an 8-bit [`ClusterId`] can name.
     pub fn small(side: u16, cluster_side: u16) -> Self {
         assert!(
             side.is_multiple_of(cluster_side),
             "cluster side must divide mesh side"
         );
-        Topology {
+        let t = Topology {
             width: side,
             height: side,
             cluster_side,
-        }
+        };
+        assert!(
+            t.clusters() <= 256,
+            "{} clusters overflow the 8-bit ClusterId (at most 256)",
+            t.clusters()
+        );
+        t
     }
 
     /// Total number of cores.
@@ -284,5 +293,12 @@ mod tests {
     #[should_panic(expected = "divide")]
     fn bad_cluster_side_panics() {
         let _ = Topology::small(10, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the 8-bit ClusterId")]
+    fn more_clusters_than_cluster_ids_panics() {
+        // 1,024 one-core clusters: ids 256 and up would alias 0 and up.
+        let _ = Topology::small(32, 1);
     }
 }

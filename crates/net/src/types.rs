@@ -16,7 +16,8 @@ impl CoreId {
     }
 }
 
-/// Identifies one of the 64 clusters (= ONet hubs).
+/// Identifies one cluster (= ONet hub): 64 on the paper's chip, at most
+/// 256 on any chip (`Topology::small` rejects more).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub u8);
 

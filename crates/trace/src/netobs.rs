@@ -7,7 +7,7 @@
 //! routed, idle-cycle fractions, broadcast vs unicast hub occupancy, and
 //! how effective the engine's skip-ahead advancement is (cycles skipped
 //! vs simulated, coalesced-epoch sizes, wakeup causes). Together they
-//! are the data the ≥5× network-phase overhaul (ROADMAP item 1) is
+//! are the data the network hot-path work (DESIGN.md §13/§14) is
 //! planned and proven from.
 //!
 //! ## Overhead and determinism guarantee

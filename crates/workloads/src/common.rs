@@ -226,10 +226,11 @@ impl BuiltWorkload {
 pub enum Scale {
     /// Tiny inputs for unit tests.
     Test,
-    /// Default evaluation size, 4× the per-core work of `Test`. A
-    /// 1024-core radix run takes about 9 s of host time on ATAC+ and 22 s
-    /// on EMesh-BCast (one 2-core Xeon host). Whether this size is large
-    /// enough for the Fig. 8 ratios to settle is ROADMAP.md item 5.
+    /// Default evaluation size, 4× the per-core work of `Test`. On ATAC+
+    /// a 1024-core radix run takes about 8.3 s of host time and barnes
+    /// about 7.3 s; radix on EMesh-BCast takes about 25 s (benchmark
+    /// medians, one 2-core Xeon host). Whether this size is large enough
+    /// for the Fig. 8 ratios to settle is ROADMAP.md item 5.
     Paper,
 }
 
